@@ -8,8 +8,8 @@ scales and quantify the batched kernel's advantage over a Python loop.
 import numpy as np
 import pytest
 
-from repro.core.hecr import hecr_many
-from repro.core.measure import x_measure, x_measure_many
+from repro.core.batch_kernels import ProfileBatch
+from repro.core.measure import x_measure
 from repro.core.params import PAPER_TABLE1
 
 
@@ -22,29 +22,34 @@ def test_x_measure_scaling(benchmark, n):
     assert value > 0.0
 
 
-def test_x_measure_many_batch(benchmark):
+def _batch_x(profiles: np.ndarray) -> np.ndarray:
+    """Construct-then-X: validation plus eq. (1) over every row."""
+    return ProfileBatch(profiles, copy=False).x(PAPER_TABLE1)
+
+
+def test_profile_batch_x(benchmark):
     """Batched X for 1000 × 256 profiles (the §4.3 inner loop)."""
     rng = np.random.default_rng(2)
     profiles = rng.uniform(0.05, 1.0, size=(1000, 256))
-    batch = benchmark(x_measure_many, profiles, PAPER_TABLE1)
+    batch = benchmark(_batch_x, profiles)
     assert batch.shape == (1000,)
     assert (batch > 0).all()
 
 
-def test_x_measure_many_matches_loop(benchmark):
+def test_profile_batch_x_matches_loop(benchmark):
     """The batch kernel must equal the scalar loop; time the batch."""
     rng = np.random.default_rng(3)
     profiles = rng.uniform(0.05, 1.0, size=(200, 64))
-    batch = benchmark(x_measure_many, profiles, PAPER_TABLE1)
+    batch = benchmark(_batch_x, profiles)
     loop = np.array([x_measure(row, PAPER_TABLE1) for row in profiles])
-    assert batch == pytest.approx(loop, rel=1e-12)
+    np.testing.assert_array_equal(batch, loop)
 
 
-def test_hecr_many_batch(benchmark):
-    """Batched HECR on 1000 × 256 profiles."""
+def test_profile_batch_hecr(benchmark):
+    """Batched HECR on 1000 × 256 profiles (X precomputed)."""
     rng = np.random.default_rng(4)
-    profiles = rng.uniform(0.05, 1.0, size=(1000, 256))
-    xs = x_measure_many(profiles, PAPER_TABLE1)
-    hecrs = benchmark(hecr_many, profiles, xs, PAPER_TABLE1)
+    batch = ProfileBatch(rng.uniform(0.05, 1.0, size=(1000, 256)))
+    xs = batch.x(PAPER_TABLE1)
+    hecrs = benchmark(batch.hecr, PAPER_TABLE1, x=xs)
     assert np.isfinite(hecrs).all()
     assert (hecrs > 0).all()

@@ -12,14 +12,10 @@ baseline future PRs regress against:
 2. **HECR throughput** — :meth:`ProfileBatch.hecr` (Proposition 1,
    vectorised) versus a scalar ``hecr_from_x`` loop over the same
    precomputed X column.
-3. **Edit previews** — :meth:`BatchXEvaluator.x_with_rho_many`, one
-   single-ρ edit preview per row, versus a loop of per-row
-   :class:`~repro.core.measure.XEvaluator` previews.
 
-Every section re-asserts scalar parity *before* timing — bitwise for X
-and previews, ≤1e-12 relative for HECR (NumPy's SIMD ``log1p``/``expm1``
-may differ from libm by 1 ulp).  A fast path that drifts is not a
-speedup.
+Every section re-asserts bitwise scalar parity *before* timing (the
+scalar HECR is a one-element call of the batch closed form, so HECR is
+bitwise too).  A fast path that drifts is not a speedup.
 
 Timings use best-of-N minima.  Speedups are recorded both ways: as
 ``*_speedup`` (human-facing, higher is better) and as ``*_cost_ratio``
@@ -42,9 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.batch_kernels import BatchXEvaluator, ProfileBatch
+from repro.core.batch_kernels import ProfileBatch
 from repro.core.hecr import hecr_from_x
-from repro.core.measure import XEvaluator, x_measure
+from repro.core.measure import x_measure
 from repro.core.params import PAPER_TABLE1
 from repro.errors import InvalidParameterError
 
@@ -68,7 +64,7 @@ _X_EVALS_PER_SEC_FLOOR = 1.0e6
 #: a real regression (de-vectorising a kernel) costs 20x or more.
 _REGRESSION_KEEP = 0.5
 #: The speedups guarded in check mode.
-_GUARDED = ("x_speedup", "hecr_speedup", "preview_speedup")
+_GUARDED = ("x_speedup", "hecr_speedup")
 
 
 def _best(fn, repeats: int = _REPEATS) -> float:
@@ -122,10 +118,9 @@ def _hecr_throughput(rows: np.ndarray) -> dict[str, float]:
                 out.append(float("nan"))
         return out
 
-    # Parity: finite rows to <=1e-12 relative, refusals exactly NaN.
+    # Parity: finite rows bitwise, refusals exactly NaN.
     for h, s in zip(hs, scalar_loop()):
-        assert math.isclose(h, s, rel_tol=1e-12) or (
-            math.isnan(h) and math.isnan(s))
+        assert h == s or (math.isnan(h) and math.isnan(s))
 
     batch_s = _best(lambda: batch.hecr(_PARAMS, x=xs), repeats=_FAST_REPEATS)
     loop_s = _best(scalar_loop, repeats=_SCALAR_REPEATS)
@@ -138,35 +133,6 @@ def _hecr_throughput(rows: np.ndarray) -> dict[str, float]:
     }
 
 
-def _preview_throughput(rows: np.ndarray) -> dict[str, float]:
-    rng = np.random.default_rng(11)
-    indices = rng.integers(0, _N, size=_M)
-    values = 10.0 ** rng.uniform(-2, 1, size=_M)
-    batch_ev = BatchXEvaluator(rows, _PARAMS)
-    previews = batch_ev.x_with_rho(indices, values)
-    # Parity: each preview is bitwise the per-row incremental evaluator.
-    for i in (0, _M // 2, _M - 1):
-        solo = XEvaluator(rows[i], _PARAMS)
-        assert previews[i] == solo.x_with_rho(int(indices[i]), float(values[i]))
-
-    evaluators = [XEvaluator(row, _PARAMS) for row in rows]
-
-    def scalar_loop():
-        return [ev.x_with_rho(int(k), float(v))
-                for ev, k, v in zip(evaluators, indices, values)]
-
-    batch_s = _best(lambda: batch_ev.x_with_rho(indices, values),
-                    repeats=_FAST_REPEATS)
-    loop_s = _best(scalar_loop, repeats=_SCALAR_REPEATS)
-    return {
-        "preview_batch_seconds": batch_s,
-        "preview_scalar_loop_seconds": loop_s,
-        "preview_evals_per_sec": round(_M / batch_s),
-        "preview_speedup": round(loop_s / batch_s, 2),
-        "preview_cost_ratio": round(batch_s / loop_s, 5),
-    }
-
-
 def test_profile_batch_throughput_and_baseline(report_sink):
     committed = (json.loads(BASELINE_PATH.read_text())
                  if BASELINE_PATH.exists() else None)
@@ -176,7 +142,6 @@ def test_profile_batch_throughput_and_baseline(report_sink):
     measured: dict[str, float] = {"batch_m": _M, "batch_n": _N}
     measured.update(_x_throughput(rows))
     measured.update(_hecr_throughput(rows))
-    measured.update(_preview_throughput(rows))
 
     lines = [
         f"ProfileBatch columnar kernels, m={_M} n={_N}",
@@ -188,10 +153,6 @@ def test_profile_batch_throughput_and_baseline(report_sink):
         f"({measured['hecr_evals_per_sec'] / 1e6:.0f} M evals/s), "
         f"scalar loop {measured['hecr_scalar_loop_seconds'] * 1e3:7.1f} ms "
         f"(x{measured['hecr_speedup']:.1f})",
-        f"  previews batch {measured['preview_batch_seconds'] * 1e3:7.3f} ms "
-        f"({measured['preview_evals_per_sec'] / 1e6:.2f} M evals/s), "
-        f"XEvaluator loop {measured['preview_scalar_loop_seconds'] * 1e3:7.1f} ms "
-        f"(x{measured['preview_speedup']:.1f})",
     ]
     report_sink("profile-batch", "\n".join(lines))
 

@@ -11,6 +11,8 @@ import pytest
 from repro.core.measure import work_production
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
+from repro.faults.models import PermanentCrash
+from repro.faults.spec import FaultScenario
 from repro.protocols.fifo import fifo_allocation, fifo_saturation_index
 from repro.simulation.runner import simulate_allocation
 
@@ -36,7 +38,7 @@ def test_simulation_with_failures_overhead(benchmark):
     """Failure bookkeeping must not meaningfully slow the common path."""
     profile = Profile.linear(256)
     alloc = fifo_allocation(profile, _PARAMS, 100.0)
-    failures = {0: 1e9}  # armed but never fires
+    crash = FaultScenario(faults=(PermanentCrash(0, 1e9),))  # never fires
 
-    result = benchmark(simulate_allocation, alloc, failures=failures)
+    result = benchmark(simulate_allocation, alloc, faults=crash)
     assert result.all_completed

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.faults.models import PermanentCrash
+from repro.faults.spec import FaultScenario
 from repro.protocols.base import WorkAllocation
 from repro.simulation.runner import simulate_allocation
 
@@ -94,18 +96,17 @@ def completed_work_for_failure_times(allocation: WorkAllocation,
     L = allocation.lifespan
     samples = np.empty(failure_times.shape[0])
     for k, times in enumerate(failure_times):
-        failures = {c: float(t) for c, t in enumerate(times) if t < L}
+        scenario = FaultScenario(faults=tuple(
+            PermanentCrash(c, float(t)) for c, t in enumerate(times) if t < L))
         if recovery is not None:
-            from repro.faults.models import PermanentCrash
             from repro.faults.recovery import simulate_with_recovery
-            from repro.faults.spec import FaultScenario
-            scenario = FaultScenario(faults=tuple(
-                PermanentCrash(c, t) for c, t in failures.items()))
             outcome = simulate_with_recovery(allocation, scenario)
             samples[k] = outcome.completed_work
         else:
+            # A crash-free trial runs fault-free (the analytic fast path
+            # under the default engine), exactly as a healthy round.
             result = simulate_allocation(
-                allocation, failures=failures,
+                allocation, faults=scenario if scenario.faults else None,
                 skip_failed_results=skip_failed_results)
             samples[k] = result.completed_work
     return samples

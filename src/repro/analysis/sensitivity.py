@@ -17,8 +17,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from repro.core.hecr import hecr
-from repro.core.measure import work_rate, x_measure
+from repro.core.batch_kernels import _build_columns, _hecr_closed_form
+from repro.core.hecr import hecr_from_x
+from repro.core.measure import x_measure
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
@@ -48,16 +49,18 @@ def _sweep(profile: Profile, make_params: Callable[[float], ModelParams],
     grid = np.asarray(list(values), dtype=float)
     if grid.size == 0:
         raise InvalidParameterError("sweep grid must be non-empty")
-    xs = np.empty(grid.size)
-    rates = np.empty(grid.size)
-    hecrs = np.empty(grid.size)
-    for k, value in enumerate(grid):
-        params = make_params(float(value))
-        # One eq.-(1) evaluation per grid point; the rate and HECR both
-        # reuse it (bit-identical to recomputing — same X float).
-        xs[k] = x_measure(profile, params)
-        rates[k] = work_rate(profile, params, x=xs[k])
-        hecrs[k] = hecr(profile, params, x=xs[k])
+    params = [make_params(float(value)) for value in grid]
+    A, B, td = (np.array([getattr(p, name) for p in params])
+                for name in ("A", "B", "tau_delta"))
+    # One eq.-(1) pass over the whole grid (row k under params[k]) and
+    # one closed-form HECR pass over its X column: every entry is
+    # bitwise the scalar x_measure / work_rate / hecr of its grid point.
+    xs = _build_columns(profile.rho, A[:, None], B[:, None], td[:, None]).x
+    rates = 1.0 / (td + 1.0 / xs)
+    hecrs = _hecr_closed_form(xs, profile.n, A, B, td)
+    if np.isnan(hecrs).any():
+        k = int(np.argmax(np.isnan(hecrs)))
+        hecr_from_x(float(xs[k]), profile.n, params[k])  # raises the refusal
     return SweepResult(parameter=parameter, values=grid, x=xs,
                        work_rate=rates, hecr=hecrs)
 
@@ -92,19 +95,12 @@ def _x_tau_grid(rho: np.ndarray, taus: np.ndarray, pi: float,
     """``X(P)`` across a τ-grid, one vectorized pass — eq. (1) row-wise.
 
     With ``A = π+τ`` and ``τδ = τ·δ`` varying along the grid but
-    ``B = 1+(1+δ)π`` fixed, every row is exactly the 1-D
-    :func:`~repro.core.measure.x_measure` arithmetic, so each entry is
-    bit-identical to the corresponding scalar evaluation.
+    ``B = 1+(1+δ)π`` fixed, every row runs x_measure's own kernel, so
+    each entry is bit-identical to the corresponding scalar evaluation.
     """
     B = 1.0 + (1.0 + delta) * pi
-    A = pi + taus[:, None]
-    td = (taus * delta)[:, None]
-    denom = B * rho[None, :] + A
-    ratios = (B * rho[None, :] + td) / denom
-    prefix = np.ones_like(denom)
-    if rho.size > 1:
-        np.cumprod(ratios[:, :-1], axis=1, out=prefix[:, 1:])
-    return np.sum(prefix / denom, axis=1)
+    return _build_columns(rho, pi + taus[:, None], B,
+                          (taus * delta)[:, None]).x
 
 
 def find_tau_crossover(p1: Profile, p2: Profile, *,

@@ -36,10 +36,9 @@ The *waste fraction* is ``1 − useful / sent`` where ``sent`` is the
 total share mass actually transmitted: ``(r−1)/r`` for replication-r,
 ``(n−k)/n`` for MDS(k, n) on full groups.
 
-The per-quantum expected-completion model is vectorised on
-:class:`~repro.core.batch_kernels.ProfileBatch`: full groups stack into
-one ``(groups, group_size)`` ρ-matrix whose derived ``Bρ`` column gives
-every member's service estimate ``(Bρ + τδ)·s_g`` in two vector ops,
+The per-quantum expected-completion model is vectorised: full groups
+stack into one ``(groups, group_size)`` ρ-matrix that gives every
+member's service estimate ``(Bρ + τδ)·s_g`` in three vector ops,
 and the k-th order statistic per row is the quantum's expected
 completion — the fastest-k semantics before any fault is injected.
 """
@@ -51,7 +50,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.batch_kernels import ProfileBatch
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import CodedSchemeError
@@ -153,10 +151,9 @@ def _expected_latencies(groups: Sequence[tuple[int, ...]],
                         rho: np.ndarray, params: ModelParams) -> list[float]:
     """Model estimate of each quantum's k-th-fastest service time.
 
-    Same-size groups are stacked into one :class:`ProfileBatch` so the
-    ``Bρ + τδ`` factor comes out of the cached derived columns in a
-    single vector op; odd-size trailing groups fall back to the same
-    arithmetic on their own (smaller) batch.
+    Same-size groups are stacked into one ρ-matrix so the ``Bρ + τδ``
+    factor is a single vector op; odd-size trailing groups get the same
+    arithmetic on their own (smaller) matrix.
     """
     latencies = [0.0] * len(groups)
     by_size: dict[int, list[int]] = {}
@@ -164,11 +161,10 @@ def _expected_latencies(groups: Sequence[tuple[int, ...]],
         by_size.setdefault(len(members), []).append(i)
     td = params.tau_delta
     for size, indices in by_size.items():
-        batch = ProfileBatch(
-            np.array([[rho[c] for c in groups[i]] for i in indices]))
+        rows = np.array([[rho[c] for c in groups[i]] for i in indices])
         # Per-member service estimate: unpackage+compute+package plus the
         # result transit, linear in the share — (Bρ + τδ)·s.
-        per_member = batch.columns(params).b_rho + td
+        per_member = params.B * rows + td
         share_col = np.array([shares[i] for i in indices])[:, None]
         times = np.sort(per_member * share_col, axis=1)
         for row, i in enumerate(indices):

@@ -12,14 +12,13 @@ This subpackage implements the paper's primary mathematical objects:
   (Proposition 1);
 * :mod:`repro.core.batch_kernels` — columnar many-profile kernels
   (:class:`~repro.core.batch_kernels.ProfileBatch`): vectorised
-  X/W/HECR, row statistics, pairwise predictor kernels and batched
-  single-ρ edit previews, each bit-identical per row to its scalar
-  counterpart;
+  X/W/HECR, row statistics and pairwise predictor kernels, each
+  bit-identical per row to its scalar counterpart (eq. (1) and
+  Proposition 1 are each written once, there);
 * :mod:`repro.core.exact` — exact-rational ground-truth evaluation.
 """
 
 from repro.core.batch_kernels import (
-    BatchXEvaluator,
     ProfileBatch,
     hecr_from_x_many,
     majorization_predictions,
@@ -34,7 +33,7 @@ from repro.core.exact import (
     work_ratio_exact,
     x_measure_exact,
 )
-from repro.core.hecr import hecr, hecr_bisect, hecr_from_x, hecr_many
+from repro.core.hecr import hecr, hecr_bisect, hecr_from_x
 from repro.core.homogeneous import (
     homogeneous_size_for_x,
     homogeneous_work_rate,
@@ -48,7 +47,6 @@ from repro.core.measure import (
     work_ratio,
     x_decomposition,
     x_measure,
-    x_measure_many,
 )
 from repro.core.params import (
     FIG34_CALIBRATION,
@@ -67,14 +65,12 @@ __all__ = [
     "NEGLIGIBLE_OVERHEADS",
     "Profile",
     "ProfileBatch",
-    "BatchXEvaluator",
     "hecr_from_x_many",
     "moment_predictions",
     "variance_predictions",
     "minorization_predictions",
     "majorization_predictions",
     "x_measure",
-    "x_measure_many",
     "XEvaluator",
     "work_rate",
     "work_production",
@@ -87,7 +83,6 @@ __all__ = [
     "hecr",
     "hecr_from_x",
     "hecr_bisect",
-    "hecr_many",
     "x_measure_exact",
     "work_rate_exact",
     "work_ratio_exact",

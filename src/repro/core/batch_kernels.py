@@ -17,23 +17,22 @@ row-vectorised kernels for everything the scalar core computes:
 * the §4.2 row statistics (variance, geometric/harmonic mean, min-ρ);
 * pairwise predictor kernels (:func:`moment_predictions`,
   :func:`minorization_predictions`, :func:`majorization_predictions`)
-  over two aligned batches;
-* :class:`BatchXEvaluator` — the incremental single-ρ edit previews of
-  :class:`~repro.core.measure.XEvaluator`, one O(1) query *per row*.
+  over two aligned batches.
 
-**Parity is the contract.**  Each kernel performs, per row, exactly the
-elementwise arithmetic and the same NumPy reduction its scalar
-counterpart performs on a 1-D array.  NumPy's pairwise summation (and
-``var``/``mean`` reductions built on it) produce bit-identical results
-for a contiguous row of an ``(m, n)`` array and the equivalent 1-D
-array, so ``ProfileBatch(rows).x(params)[i] == x_measure(rows[i],
-params)`` holds **bitwise** — not merely to tolerance — which is what
-lets the service coalescer route its bit-identity-guaranteed responses
-through the batch without moving a single float.  The one exception is
-HECR: NumPy's SIMD ``log1p``/``expm1`` over arrays may differ from the
-scalar path's libm calls by 1 ulp, so :func:`hecr_from_x_many` agrees
-with :func:`~repro.core.hecr.hecr_from_x` to ≤1e-12 relative rather
-than bitwise.  The property suite
+**Parity holds by construction.**  Eq. (1) is written out once, in
+:func:`_build_columns`, which works over the last axis of a 1-D ρ-vector
+or an ``(m, n)`` ρ-matrix alike; :func:`~repro.core.measure.x_measure`,
+:class:`~repro.core.measure.XEvaluator` and :class:`ProfileBatch` all
+call it.  NumPy's pairwise summation (and the ``var``/``mean``
+reductions built on it) produce bit-identical results for a contiguous
+row of an ``(m, n)`` array and the equivalent 1-D array, so
+``ProfileBatch(rows).x(params)[i] == x_measure(rows[i], params)`` holds
+**bitwise** — which is what lets the service coalescer route its
+bit-identity-guaranteed responses through the batch without moving a
+single float.  Proposition 1's closed form is likewise written once, in
+:func:`hecr_from_x_many`; the scalar
+:func:`~repro.core.hecr.hecr_from_x` is a one-element call of it, so
+scalar and batch HECRs are bitwise equal too.  The property suite
 (``tests/properties/test_batch_parity_properties.py``) pins both
 contracts for every kernel over random batches.
 
@@ -45,7 +44,7 @@ shape-specific error at construction.
 
 This module sits at the bottom of the core dependency stack (it imports
 only ``params``, ``profile`` and ``errors``);
-:mod:`repro.core.measure` and :mod:`repro.core.hecr` build their batch
+:mod:`repro.core.measure` and :mod:`repro.core.hecr` build their scalar
 entry points on it.
 """
 
@@ -59,7 +58,6 @@ from repro.errors import InvalidParameterError, InvalidProfileError
 
 __all__ = [
     "ProfileBatch",
-    "BatchXEvaluator",
     "hecr_from_x_many",
     "moment_predictions",
     "variance_predictions",
@@ -99,7 +97,9 @@ def _validate_matrix(rho, *, copy: bool) -> np.ndarray:
 class _Columns:
     """Derived per-(τ, π, δ) columns shared by the X/W/HECR kernels.
 
-    ``b_rho = B·ρ`` feeds the LP constraint builder; ``denom = Bρ + A``
+    Every array runs over the last axis (computers) of the ρ input, so
+    the same object serves a 1-D profile and an ``(m, n)`` batch.
+    ``b_rho = B·ρ``; ``denom = Bρ + A``
     and ``numer = Bρ + τδ`` are eq. (1)'s per-computer factors;
     ``prefix`` is the exclusive cumulative product of
     ``ratios = numer/denom``; ``terms = prefix/denom`` sums to ``x``.
@@ -126,25 +126,31 @@ class _Columns:
     @property
     def cum(self) -> np.ndarray:
         if self._cum is None:
-            self._cum = np.cumsum(self.terms, axis=1)
+            self._cum = np.cumsum(self.terms, axis=-1)
         return self._cum
 
 
-def _build_columns(arr: np.ndarray, params: ModelParams) -> _Columns:
-    A, B, td = params.A, params.B, params.tau_delta
-    b_rho = B * arr
+def _build_columns(rho: np.ndarray, A, B, td) -> _Columns:
+    """Eq. (1) over the last axis of ``rho`` — the one implementation.
+
+    ``rho`` is a 1-D profile or an ``(m, n)`` batch; ``A``, ``B`` and
+    ``td`` (τδ) are floats, or arrays broadcasting against ``rho`` for a
+    parameter grid (one row per parameter set).  ``x`` has the input's
+    shape minus its last axis.
+    """
+    b_rho = B * rho
     denom = b_rho + A
     numer = b_rho + td
     ratios = numer / denom
-    # Exclusive prefix product per row: [1, r1, r1·r2, …] — the same
-    # sequential cumprod x_measure runs on its 1-D array.
+    # Exclusive prefix product per row: [1, r1, r1·r2, …], sequential
+    # along the row whatever the leading shape.
     prefix = np.empty_like(denom)
-    prefix[:, 0] = 1.0
-    np.cumprod(ratios[:, :-1], axis=1, out=prefix[:, 1:])
+    prefix[..., 0] = 1.0
+    np.cumprod(ratios[..., :-1], axis=-1, out=prefix[..., 1:])
     terms = prefix / denom
-    # Row-wise pairwise summation over contiguous memory: bit-identical
-    # to float(np.sum(...)) of the row on its own.
-    x = np.sum(terms, axis=1)
+    # Pairwise summation over contiguous memory: a row of a 2-D batch
+    # sums bit-identically to the same row as a 1-D array.
+    x = np.sum(terms, axis=-1)
     return _Columns(b_rho=b_rho, denom=denom, numer=numer, ratios=ratios,
                     prefix=prefix, terms=terms, x=x)
 
@@ -235,7 +241,8 @@ class ProfileBatch:
         key = (params.tau, params.pi, params.delta)
         cols = self._columns.get(key)
         if cols is None:
-            cols = _build_columns(self._rho, params)
+            cols = _build_columns(self._rho, params.A, params.B,
+                                  params.tau_delta)
             self._columns[key] = cols
             while len(self._columns) > _COLUMN_CACHE_ENTRIES:
                 self._columns.pop(next(iter(self._columns)))
@@ -249,9 +256,7 @@ class ProfileBatch:
     def work_rates(self, params: ModelParams, *,
                    x: np.ndarray | None = None) -> np.ndarray:
         """Per-row asymptotic work rate ``1/(τδ + 1/X)`` (Theorem 2)."""
-        if x is None:
-            x = self.columns(params).x
-        return 1.0 / (params.tau_delta + 1.0 / x)
+        return 1.0 / (params.tau_delta + 1.0 / self._x(params, x))
 
     def work_production(self, params: ModelParams, lifespan: float, *,
                         x: np.ndarray | None = None) -> np.ndarray:
@@ -267,13 +272,18 @@ class ProfileBatch:
 
         See :func:`hecr_from_x_many` for the NaN contract.
         """
-        if x is None:
-            x = self.columns(params).x
-        return hecr_from_x_many(x, self.n, params)
+        return hecr_from_x_many(self._x(params, x), self.n, params)
 
-    def evaluator(self, params: ModelParams) -> "BatchXEvaluator":
-        """A :class:`BatchXEvaluator` over this batch's current rows."""
-        return BatchXEvaluator(self._rho, params)
+    def _x(self, params: ModelParams, x: np.ndarray | None) -> np.ndarray:
+        """The cached X column, or a caller-supplied one of matching shape."""
+        if x is None:
+            return self.columns(params).x
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.m,):
+            raise InvalidParameterError(
+                f"shape mismatch: x has shape {x.shape}, batch has "
+                f"{self.m} rows")
+        return x
 
     # -- §4.2 row statistics ------------------------------------------
     def means(self) -> np.ndarray:
@@ -316,11 +326,11 @@ class ProfileBatch:
 
 
 # ---------------------------------------------------------------------
-# Proposition 1, vectorised (the fixed hecr_many core)
+# Proposition 1 — the one closed form
 # ---------------------------------------------------------------------
 def hecr_from_x_many(x_values: np.ndarray, n: int,
                      params: ModelParams) -> np.ndarray:
-    """Vectorised Proposition-1 closed form over precomputed X-values.
+    """Proposition 1's closed form over precomputed X-values.
 
     Parameters
     ----------
@@ -334,22 +344,13 @@ def hecr_from_x_many(x_values: np.ndarray, n: int,
     Returns
     -------
     numpy.ndarray
-        Shape ``(m,)`` of HECRs.  An entry is **NaN** whenever the
-        scalar :func:`~repro.core.hecr.hecr_from_x` would refuse the
-        row: X at/above the ``1/(A − τδ)`` saturation bound *or* a
-        derived rate that is non-positive (a cluster more powerful than
-        any finite-rate homogeneous one at this float resolution).
-        Finite entries agree with the scalar path to ≤1e-12 relative
-        (NumPy's vectorised ``log1p``/``expm1`` can differ from libm by
-        1 ulp); every other batch kernel is bitwise.
-        Returning NaN for the whole non-positive/saturated family —
-        rather than only for ``eps`` rounding to 1 — is what keeps the
-        batch path sign-consistent with the scalar path: near the bound
-        the closed form's cancellation can otherwise emit small
-        *negative* rates.  The NaN set matches the scalar refusal set
-        exactly (``eps >= 1`` or derived rate ≤ 0): a padded
-        ``eps >= 1 − 1e-14`` band would wrongly NaN large-gap rows the
-        scalar path accepts.
+        Shape ``(m,)`` of HECRs.  An entry is **NaN** when no finite
+        homogeneous equivalent exists at float64 resolution: X at/above
+        the ``1/(A − τδ)`` saturation bound, *or* a derived rate that is
+        non-positive (just below the bound the closed form's
+        cancellation can otherwise emit small *negative* rates).  The
+        scalar :func:`~repro.core.hecr.hecr_from_x` is a one-element
+        call of this function that raises exactly where it returns NaN.
 
     Raises
     ------
@@ -360,29 +361,32 @@ def hecr_from_x_many(x_values: np.ndarray, n: int,
     if n < 1:
         raise InvalidParameterError(f"n must be >= 1, got {n}")
     x = np.asarray(x_values, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise InvalidParameterError("x_values must be positive")
-    A, B, td = params.A, params.B, params.tau_delta
+    if not ((x > 0.0) & (x < np.inf)).all():  # NaN fails both comparisons
+        raise InvalidParameterError("x_values must be positive and finite")
+    return _hecr_closed_form(x, n, params.A, params.B, params.tau_delta)
+
+
+def _hecr_closed_form(x: np.ndarray, n: int, A, B, td) -> np.ndarray:
+    """Proposition 1 on validated X-values; NaN where no rate exists.
+
+    ``A``, ``B`` and ``td`` (τδ) are floats, or arrays aligned with
+    ``x`` for a parameter grid.
+    """
     gap = A - td
-    if gap == 0.0:
-        # A = τδ limit: X(P^(ρ)) = n/(Bρ + A)  ⇒  ρ = (n/X − A)/B
-        out = (n / x - A) / B
-        out[out <= 0.0] = np.nan
-        return out
     eps = gap * x
     # Mathematically eps < 1 strictly for every real profile, but
-    # extreme profiles can round eps to 1.0 in float64; and just below
-    # the bound the ``gap/(B·(1−D)) − A/B`` difference can cancel to a
-    # non-positive rate.  Both regimes mean "beyond any finite
-    # homogeneous equivalent's resolution": report NaN for them.  The
-    # cutoff is ``eps >= 1.0`` — exactly the scalar path's refusal, no
-    # wider: in large-gap regimes a rate just below the bound is still
-    # positive and valid, and a padded band would NaN rows the scalar
-    # path accepts.
+    # extreme profiles can round eps to 1.0 in float64.  The cutoff is
+    # exactly ``eps >= 1.0``, no wider: in large-gap regimes a rate just
+    # below the bound is still positive and valid.
     saturated = eps >= 1.0
-    eps_safe = np.where(saturated, 0.5, eps)
+    # gap == 0 is the A = τδ limit, X(P^(ρ)) = n/(Bρ + A) ⇒
+    # ρ = (n/X − A)/B; its eps is swapped out so the closed form's
+    # division stays finite in the branch np.where discards.
+    limit = gap == 0.0
+    eps_safe = np.where(saturated | limit, 0.5, eps)
+    # one_minus_D = 1 − (1 − ε)^{1/n}, computed cancellation-free.
     one_minus_D = -np.expm1(np.log1p(-eps_safe) / n)
-    out = gap / (B * one_minus_D) - A / B
+    out = np.where(limit, (n / x - A) / B, gap / (B * one_minus_D) - A / B)
     out[saturated | (out <= 0.0)] = np.nan
     return out
 
@@ -492,111 +496,3 @@ def majorization_predictions(batch_a: ProfileBatch,
     out[first & ~second] = 0
     out[second & ~first] = 1
     return out
-
-
-# ---------------------------------------------------------------------
-# Batched incremental single-ρ edits
-# ---------------------------------------------------------------------
-class BatchXEvaluator:
-    """The :class:`~repro.core.measure.XEvaluator` generalised to a batch.
-
-    Holds the eq.-(1) cumulative state for every row of an ``(m, n)``
-    ρ-matrix, so *"what would X be if row i's ρ_k became ρ'?"* is one
-    O(1) vectorised query across all m rows (:meth:`x_with_rho`) — the
-    speedup planner's candidate scan for a whole population of clusters
-    in a single NumPy expression.
-
-    As with the scalar evaluator, commits (:meth:`set_rho`) rebuild in
-    O(m·n) and leave :attr:`x` bit-identical per row to a fresh
-    ``x_measure``; only the O(1) previews re-associate the sum and may
-    differ at the ~1-ulp-per-term level.
-    """
-
-    __slots__ = ("_params", "_rho", "_d", "_r", "_prefix", "_terms",
-                 "_cum", "_x")
-
-    def __init__(self, rho, params: ModelParams) -> None:
-        self._params = params
-        self._rho = _validate_matrix(rho, copy=True)
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        cols = _build_columns(self._rho, self._params)
-        self._d = cols.denom
-        self._r = cols.ratios
-        self._prefix = cols.prefix
-        self._terms = cols.terms
-        self._cum = cols.cum
-        self._x = cols.x
-
-    # -- state ---------------------------------------------------------
-    @property
-    def m(self) -> int:
-        return int(self._rho.shape[0])
-
-    @property
-    def n(self) -> int:
-        return int(self._rho.shape[1])
-
-    @property
-    def params(self) -> ModelParams:
-        return self._params
-
-    @property
-    def rho(self) -> np.ndarray:
-        """A copy of the current ρ-matrix."""
-        return self._rho.copy()
-
-    @property
-    def x(self) -> np.ndarray:
-        """Per-row ``X`` — bit-identical to per-row ``x_measure``."""
-        return self._x.copy()
-
-    def _validate_edit(self, k, rho_new) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            idx = np.broadcast_to(np.asarray(k, dtype=int), (self.m,))
-            vals = np.broadcast_to(np.asarray(rho_new, dtype=float), (self.m,))
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"edit indices/values must be scalars or shape ({self.m},) "
-                f"arrays: {exc}") from exc
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise InvalidParameterError(
-                f"edit indices must lie in [0, {self.n}), got "
-                f"[{idx.min()}, {idx.max()}]")
-        if np.any(vals <= 0.0) or not np.all(np.isfinite(vals)):
-            raise InvalidParameterError(
-                "replacement rho values must be positive and finite")
-        return idx, vals
-
-    @staticmethod
-    def _pick(arr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(arr, idx[:, None], axis=1)[:, 0]
-
-    # -- O(1)-per-row preview -----------------------------------------
-    def x_with_rho(self, k, rho_new) -> np.ndarray:
-        """Per-row ``X`` with ρ at column ``k`` replaced by ``rho_new``.
-
-        ``k`` and ``rho_new`` may be scalars (same edit in every row) or
-        shape-``(m,)`` arrays (one edit per row).  Does not mutate the
-        evaluator.  Row i agrees bitwise with the scalar evaluator's
-        ``x_with_rho`` on the same row, hence with a fresh ``x_measure``
-        of the edited profile to ~1 ulp per term.
-        """
-        idx, vals = self._validate_edit(k, rho_new)
-        p = self._params
-        d_new = p.B * vals + p.A
-        r_new = (p.B * vals + p.tau_delta) / d_new
-        head = np.where(idx > 0,
-                        self._pick(self._cum, np.maximum(idx - 1, 0)), 0.0)
-        tail = self._cum[:, -1] - self._pick(self._cum, idx)
-        return head + self._pick(self._prefix, idx) / d_new \
-            + r_new * (tail / self._pick(self._r, idx))
-
-    # -- O(m·n) commit -------------------------------------------------
-    def set_rho(self, k, rho_new) -> np.ndarray:
-        """Commit the edit in every row; returns the exact new per-row X."""
-        idx, vals = self._validate_edit(k, rho_new)
-        np.put_along_axis(self._rho, idx[:, None], vals[:, None], axis=1)
-        self._rebuild()
-        return self.x

@@ -18,12 +18,14 @@ Numerical care: in the Table-1 regime ``(A − τδ)·X ≈ 10⁻⁵·X``, so th
 inner ``1 − (1 − ε)^{1/n}`` suffers catastrophic cancellation if evaluated
 naively.  We use ``-expm1(log1p(-ε)/n)`` instead, and we provide an
 independent bisection inverter used to cross-validate the closed form in
-the test suite.
+the test suite.  The closed form itself lives in
+:func:`repro.core.batch_kernels.hecr_from_x_many`; the scalar entry
+points here are one-element calls of it, so a profile's HECR is the same
+float whether it is asked for alone or as a row of a batch.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Union
 
 import numpy as np
@@ -35,7 +37,7 @@ from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
 
-__all__ = ["hecr", "hecr_from_x", "hecr_bisect", "hecr_many"]
+__all__ = ["hecr", "hecr_from_x", "hecr_bisect"]
 
 ProfileLike = Union[Profile, Iterable[float]]
 
@@ -63,30 +65,27 @@ def hecr_from_x(x_value: float, n: int, params: ModelParams) -> float:
     -------
     float
         The equivalent homogeneous rate ρ_C (> 0; smaller is faster).
+
+    Raises
+    ------
+    InvalidParameterError
+        For ``n < 1`` or a non-positive/non-finite ``x_value``, and
+        wherever :func:`~repro.core.batch_kernels.hecr_from_x_many`
+        reports NaN: a saturated X, or a derived rate that is
+        non-positive.
     """
-    if n < 1:
-        raise InvalidParameterError(f"n must be >= 1, got {n}")
-    if x_value <= 0 or not math.isfinite(x_value):
-        raise InvalidParameterError(f"x_value must be positive and finite, got {x_value!r}")
-    A, B, td = params.A, params.B, params.tau_delta
-    gap = A - td
-    if gap == 0.0:
-        # A = τδ limit: X(P^(ρ)) = n/(Bρ + A)  ⇒  ρ = (n/X − A)/B
-        rho = (n / x_value - A) / B
-    else:
-        eps = gap * x_value
-        if eps >= 1.0:
+    rho = float(hecr_from_x_many(np.array([x_value], dtype=float), n,
+                                 params)[0])
+    if np.isnan(rho):
+        gap = params.A - params.tau_delta
+        if gap * x_value >= 1.0:
             raise InvalidParameterError(
-                f"x_value={x_value!r} exceeds the saturation bound 1/(A−τδ)="
-                f"{1.0 / gap!r}; no homogeneous equivalent exists")
-        # one_minus_D = 1 − (1 − ε)^{1/n}, computed cancellation-free.
-        one_minus_D = -math.expm1(math.log1p(-eps) / n)
-        rho = gap / (B * one_minus_D) - A / B
-    if rho <= 0:
+                f"x_value={x_value!r} exceeds the saturation bound "
+                f"1/(A−τδ)={1.0 / gap!r}; no homogeneous equivalent exists")
         raise InvalidParameterError(
-            f"derived HECR is non-positive ({rho!r}): the cluster is more "
-            f"powerful than any homogeneous cluster of finite rate under "
-            f"these parameters")
+            "derived HECR is non-positive: the cluster is more powerful "
+            "than any homogeneous cluster of finite rate under these "
+            "parameters")
     return rho
 
 
@@ -113,42 +112,6 @@ def hecr(profile: ProfileLike, params: ModelParams, *,
     if x is None:
         x = x_measure(profile, params)
     return hecr_from_x(x, n, params)
-
-
-def hecr_many(profiles: np.ndarray, x_values: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Vectorised Proposition-1 closed form for a batch of equal-size profiles.
-
-    Parameters
-    ----------
-    profiles:
-        Array of shape ``(m, n)`` — only its column count ``n`` is used.
-    x_values:
-        Shape ``(m,)`` of precomputed X-measures (see
-        :func:`repro.core.measure.x_measure_many`).
-    params:
-        Architectural model parameters.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(m,)`` of HECRs.  Entries are NaN for rows the scalar
-        :func:`hecr_from_x` would refuse: *saturated* clusters whose X
-        rounds to the 1/(A−τδ) bound in float64, **and** clusters whose
-        derived rate comes out non-positive (just below the bound the
-        closed form's cancellation would otherwise emit a small negative
-        rate where the scalar path raises).  Both families sit beyond
-        the resolution of any finite homogeneous equivalent.
-    """
-    arr = np.asarray(profiles, dtype=float)
-    x = np.asarray(x_values, dtype=float)
-    if arr.ndim != 2 or x.shape != (arr.shape[0],):
-        raise InvalidParameterError(
-            f"shape mismatch: profiles {arr.shape}, x_values {x.shape}")
-    if arr.shape[1] == 0:
-        raise InvalidParameterError(
-            f"profiles must have at least one computer per row (n >= 1), "
-            f"got shape {arr.shape}")
-    return hecr_from_x_many(x, arr.shape[1], params)
 
 
 def hecr_bisect(profile: ProfileLike, params: ModelParams, *,

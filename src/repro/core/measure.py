@@ -37,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from repro.core.batch_kernels import ProfileBatch
+from repro.core.batch_kernels import _build_columns
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
@@ -48,7 +48,6 @@ __all__ = [
     "work_rate",
     "work_production",
     "work_ratio",
-    "x_measure_many",
     "XDecomposition",
     "x_decomposition",
     "XEvaluator",
@@ -86,7 +85,10 @@ def x_measure(profile: ProfileLike, params: ModelParams) -> float:
     ``rᵢ = (Bρᵢ + τδ)/dᵢ``, the i-th term is ``(Π_{j<i} rⱼ)/dᵢ``, i.e. an
     exclusive cumulative product divided by d.  All rᵢ lie in (0, 1] under
     τδ ≤ A, so the cumulative product is monotone and stable even for
-    n = 2¹⁶ computers.
+    n = 2¹⁶ computers.  The arithmetic is
+    :func:`repro.core.batch_kernels._build_columns`, the same kernel
+    :class:`~repro.core.batch_kernels.ProfileBatch` runs row-wise, so a
+    batch row's X is bitwise this function's.
 
     Examples
     --------
@@ -94,48 +96,8 @@ def x_measure(profile: ProfileLike, params: ModelParams) -> float:
     >>> round(x_measure([1.0], PAPER_TABLE1), 4)      # one ρ=1 computer
     1.0
     """
-    rho = _rho_array(profile)
-    A, B, td = params.A, params.B, params.tau_delta
-    denom = B * rho + A
-    ratios = (B * rho + td) / denom
-    # exclusive prefix product: [1, r1, r1·r2, …]
-    prefix = np.empty_like(denom)
-    prefix[0] = 1.0
-    if rho.size > 1:
-        np.cumprod(ratios[:-1], out=prefix[1:])
-    return float(np.sum(prefix / denom))
-
-
-def x_measure_many(profiles: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Evaluate ``X`` for a batch of same-size profiles.
-
-    Parameters
-    ----------
-    profiles:
-        Array of shape ``(m, n)``: m profiles of n computers each.  Every
-        entry must be positive.  ``m = 0`` (the empty batch) is valid and
-        yields a shape-``(0,)`` result, so sharded pipelines can pass
-        empty shards through; ``n = 0`` is rejected with a shape-specific
-        error.
-    params:
-        Architectural model parameters.
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(m,)`` of X-values.
-
-    Notes
-    -----
-    A thin wrapper over :class:`~repro.core.batch_kernels.ProfileBatch`
-    (construct one directly to reuse the derived columns across X, work
-    and HECR kernels).  Each row is bit-identical to the corresponding
-    :func:`x_measure` call.  Used by the §4.3 experiments, which compare
-    tens of thousands of random cluster pairs; batching the cumulative
-    products row-wise is an order of magnitude faster than looping over
-    :func:`x_measure`.
-    """
-    return ProfileBatch(profiles, copy=False).x(params)
+    return float(_build_columns(_rho_array(profile), params.A, params.B,
+                                params.tau_delta).x)
 
 
 def work_rate(profile: ProfileLike, params: ModelParams, *,
@@ -219,8 +181,7 @@ class XEvaluator:
     ~1-ulp level of re-associating the sum (property-tested ≤ 1e-9).
     """
 
-    __slots__ = ("_params", "_rho", "_d", "_r", "_prefix", "_terms",
-                 "_cum", "_x")
+    __slots__ = ("_params", "_rho", "_cols")
 
     def __init__(self, profile: ProfileLike, params: ModelParams) -> None:
         self._params = params
@@ -244,23 +205,12 @@ class XEvaluator:
     @property
     def x(self) -> float:
         """``X`` of the current profile — bit-identical to ``x_measure``."""
-        return self._x
+        return float(self._cols.x)
 
     def _rebuild(self) -> None:
-        rho = self._rho
+        # x_measure's own kernel → bit-identical committed value.
         p = self._params
-        A, B, td = p.A, p.B, p.tau_delta
-        self._d = B * rho + A
-        self._r = (B * rho + td) / self._d
-        prefix = np.empty_like(self._d)
-        prefix[0] = 1.0
-        if rho.size > 1:
-            np.cumprod(self._r[:-1], out=prefix[1:])
-        self._prefix = prefix
-        self._terms = prefix / self._d
-        self._cum = np.cumsum(self._terms)
-        # Same reduction as x_measure → bit-identical committed value.
-        self._x = float(np.sum(self._terms))
+        self._cols = _build_columns(self._rho, p.A, p.B, p.tau_delta)
 
     @staticmethod
     def _validate_rho(value: float) -> float:
@@ -287,12 +237,13 @@ class XEvaluator:
         k = self._validate_index(k)
         rho_new = self._validate_rho(rho_new)
         p = self._params
+        cols = self._cols
         d_new = p.B * rho_new + p.A
         r_new = (p.B * rho_new + p.tau_delta) / d_new
-        head = float(self._cum[k - 1]) if k else 0.0
-        tail = float(self._cum[-1] - self._cum[k])
-        return head + float(self._prefix[k]) / d_new \
-            + r_new * (tail / float(self._r[k]))
+        head = float(cols.cum[k - 1]) if k else 0.0
+        tail = float(cols.cum[-1] - cols.cum[k])
+        return head + float(cols.prefix[k]) / d_new \
+            + r_new * (tail / float(cols.ratios[k]))
 
     def x_with_rho_many(self, indices, values) -> np.ndarray:
         """Preview many independent single-ρ edits at once — O(candidates).
@@ -318,12 +269,13 @@ class XEvaluator:
             raise InvalidParameterError(
                 "replacement rho values must be positive and finite")
         p = self._params
+        cols = self._cols
         d_new = p.B * vals + p.A
         r_new = (p.B * vals + p.tau_delta) / d_new
-        head = np.where(idx > 0, self._cum[np.maximum(idx - 1, 0)], 0.0)
-        tail = self._cum[-1] - self._cum[idx]
-        return head + self._prefix[idx] / d_new \
-            + r_new * (tail / self._r[idx])
+        head = np.where(idx > 0, cols.cum[np.maximum(idx - 1, 0)], 0.0)
+        tail = cols.cum[-1] - cols.cum[idx]
+        return head + cols.prefix[idx] / d_new \
+            + r_new * (tail / cols.ratios[idx])
 
     # -- O(n) commits ---------------------------------------------------
     def set_rho(self, k: int, rho_new: float) -> float:
@@ -331,14 +283,14 @@ class XEvaluator:
         k = self._validate_index(k)
         self._rho[k] = self._validate_rho(rho_new)
         self._rebuild()
-        return self._x
+        return self.x
 
     def insert(self, rho_new: float) -> float:
         """Add a computer with rate ``rho_new``; returns the new ``X``."""
         rho_new = self._validate_rho(rho_new)
         self._rho = np.append(self._rho, rho_new)
         self._rebuild()
-        return self._x
+        return self.x
 
     def remove(self, k: int) -> float:
         """Drop computer ``k``; returns the new ``X``."""
@@ -348,7 +300,7 @@ class XEvaluator:
                 "cannot remove the last computer from an XEvaluator")
         self._rho = np.delete(self._rho, k)
         self._rebuild()
-        return self._x
+        return self.x
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,6 +29,7 @@ from __future__ import annotations
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.experiments.base import ExperimentResult, register
+from repro.faults.models import PermanentCrash
 from repro.faults.recovery import RecoveryPolicy, simulate_with_recovery
 from repro.faults.spec import FaultScenario, parse_faults
 from repro.protocols.base import WorkAllocation
@@ -78,9 +79,10 @@ def run_failure_resilience(tau: float = 0.02, pi: float = 0.002,
             rows.append((f"C{c + 1}", round(float(profile.rho[c]), 4),
                          c + 1, 0.0, 0.0))
             continue
-        crash = 0.5 * (busy[0].start + busy[0].end)
-        strict = simulate_allocation(alloc, failures={c: crash})
-        skip = simulate_allocation(alloc, failures={c: crash},
+        crash = FaultScenario(faults=(
+            PermanentCrash(c, 0.5 * (busy[0].start + busy[0].end)),))
+        strict = simulate_allocation(alloc, faults=crash)
+        skip = simulate_allocation(alloc, faults=crash,
                                    skip_failed_results=True)
         strict_pct = 100.0 * strict.completed_work / total
         skip_pct = 100.0 * skip.completed_work / total

@@ -129,8 +129,8 @@ def collect_trials(rng: np.random.Generator, n: int, n_trials: int,
         profiles_b[t] = p2.rho
 
     # One columnar pass per side: X, HECR, variances and every moment
-    # predictor reduce the same ProfileBatch — each bit-identical (HECR:
-    # ≤1e-12) to the per-pair scalar loop this replaces.
+    # predictor reduce the same ProfileBatch — each bit-identical to the
+    # per-pair scalar loop this replaces.
     batch_a = ProfileBatch(profiles_a, copy=False)
     batch_b = ProfileBatch(profiles_b, copy=False)
     var_a = batch_a.variances()

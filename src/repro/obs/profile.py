@@ -35,7 +35,7 @@ __all__ = ["FunctionStat", "HotPathProfiler", "DEFAULT_TARGETS"]
 #: ``module:qualname`` paths of the library's known hot functions.
 DEFAULT_TARGETS = (
     "repro.core.measure:x_measure",
-    "repro.core.measure:x_measure_many",
+    "repro.core.batch_kernels:ProfileBatch.x",
     "repro.protocols.fifo:fifo_allocation",
     "repro.protocols.timeline:build_timeline",
     "repro.simulation.engine:Simulator.run",

@@ -35,7 +35,6 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.core.batch_kernels import ProfileBatch
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InfeasibleScheduleError, ProtocolError
@@ -53,8 +52,7 @@ def _positions(order: tuple[int, ...], n: int) -> np.ndarray:
 
 def _constraint_rows(rho: np.ndarray, params: ModelParams,
                      spos: np.ndarray, fpos: np.ndarray,
-                     enforce_separation: bool,
-                     b_rho: np.ndarray | None = None) -> np.ndarray:
+                     enforce_separation: bool) -> np.ndarray:
     """Vectorized ``A_ub`` for one — or a batch of — (Σ, Φ) pairs.
 
     ``spos``/``fpos`` hold each computer's startup/finishing *position*
@@ -63,11 +61,6 @@ def _constraint_rows(rho: np.ndarray, params: ModelParams,
     Entry (c, d) accumulates exactly the terms the scalar row loop used
     to add, in the same order: ``π+τ`` when d's send precedes or is c's,
     ``Bρ_c`` on the diagonal, ``τδ`` when d's result follows or is c's.
-
-    ``b_rho`` optionally supplies the precomputed ``Bρ`` diagonal — e.g.
-    a row of a :class:`~repro.core.batch_kernels.ProfileBatch` column
-    cache, which holds the bit-identical product — so callers that
-    already paid for the columns don't multiply again.
     """
     A_send = params.pi + params.tau
     td = params.tau_delta
@@ -76,7 +69,7 @@ def _constraint_rows(rho: np.ndarray, params: ModelParams,
     fin_mask = fpos[..., None, :] >= fpos[..., :, None]
     rows = A_send * send_mask
     diag = np.arange(n)
-    rows[..., diag, diag] += params.B * rho if b_rho is None else b_rho
+    rows[..., diag, diag] += params.B * rho
     rows = rows + td * fin_mask
     if enforce_separation and td > 0.0:
         sep = np.full(rows.shape[:-2] + (1, n), A_send + td)
@@ -157,13 +150,10 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
                  for s, f in pairs]
     spos = np.stack([_positions(s, n) for s, _ in validated])
     fpos = np.stack([_positions(f, n) for _, f in validated])
-    # The Bρ diagonal comes from the cluster's ProfileBatch column cache
-    # (the same Bρ + A / Bρ + τδ precomputation the eq.-(1) kernels use);
-    # the product is bit-identical to params.B * rho, so every constraint
-    # matrix — and hence every solve — matches per-pair lp_allocation.
-    columns = ProfileBatch(profile.rho[None, :], copy=False).columns(params)
+    # One constraint stack for every pair, built by the same arithmetic
+    # as per-pair lp_allocation, so every solve matches it.
     A_all = _constraint_rows(profile.rho, params, spos, fpos,
-                             enforce_separation, b_rho=columns.b_rho[0])
+                             enforce_separation)
     b_ub = np.full(A_all.shape[1], float(lifespan))
     c_obj = -np.ones(n)
     bounds = [(0.0, None)] * n

@@ -24,7 +24,7 @@ Faults
 ------
 Each worker optionally carries a
 :class:`~repro.faults.models.FaultTimeline`: permanent crashes kill it
-mid-action exactly like the original single ``failure_time``; transient
+mid-action (work on the bench is lost); transient
 outages pause its progress; degraded-speed windows dilate its busy
 period.  Channel faults live in the network — the entities only have to
 cope with a transit that comes back ``delivered=False`` (a work quantum
@@ -154,22 +154,12 @@ class Worker:
     The optional *fault timeline* models everything that can go wrong on
     the worker itself: a permanent crash freezes it mid-action (work on
     its bench is lost), a transient outage pauses its progress, and a
-    degraded-speed window dilates its busy period.  The plain
-    ``failure_time`` argument survives as sugar for a crash-only
-    timeline.
+    degraded-speed window dilates its busy period.
     """
 
     def __init__(self, sim: Simulator, record: WorkerRecord, busy_time: float,
                  result_duration: float, sequencer: ResultSequencer | None,
-                 failure_time: float | None = None,
                  fault: FaultTimeline | None = None) -> None:
-        if failure_time is not None:
-            crash = failure_time if fault is None else (
-                failure_time if fault.crash_at is None
-                else min(failure_time, fault.crash_at))
-            fault = FaultTimeline(crash_at=crash,
-                                  outages=fault.outages if fault else (),
-                                  slowdowns=fault.slowdowns if fault else ())
         self._sim = sim
         self.record = record
         self._busy_time = busy_time

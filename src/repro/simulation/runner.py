@@ -154,7 +154,6 @@ class SimulationResult:
 
 def simulate_allocation(allocation: WorkAllocation, *,
                         results_policy: str = "late",
-                        failures: dict[int, float] | None = None,
                         faults: "FaultScenario | MaterializedFaults | str | None" = None,
                         skip_failed_results: bool = False,
                         observer: SimulationObserver | None = None,
@@ -169,9 +168,8 @@ def simulate_allocation(allocation: WorkAllocation, *,
         ``"events"`` — always run the discrete-event engine.
         ``"analytic"`` — always take the event-free closed form of
         :mod:`repro.simulation.fastpath`; raises
-        :class:`~repro.errors.SimulationError` when combined with any
-        fault or failure injection (the analytic timeline is fault-free
-        by construction).
+        :class:`~repro.errors.SimulationError` when combined with fault
+        injection (the analytic timeline is fault-free by construction).
         ``"auto"`` — analytic whenever the run is fault-free and no
         per-event observer is attached (explicitly or via the ambient
         observation's tracer); the event engine otherwise.  An ambient
@@ -184,18 +182,16 @@ def simulate_allocation(allocation: WorkAllocation, *,
         ``"late"`` — results use the contiguous end-of-lifespan slots of
         the paper's layout; ``"greedy"`` — results go as early as the
         finishing order and channel allow.
-    failures:
-        Failure injection: maps computer index → crash time.  A crashed
-        worker performs no further actions; work on its bench is lost.
-        Results already handed to the channel still arrive.  Sugar for a
-        crash-only fault scenario; combines with ``faults``.
     faults:
-        General fault injection: a
-        :class:`~repro.faults.spec.FaultScenario` (or an already
-        materialised one, or a ``--faults`` grammar string).  Scenarios
-        are materialised against this allocation's cluster size and
-        lifespan; the materialisation is seeded and deterministic, so
-        fault-injected runs replay bit-identically.
+        Fault injection: a :class:`~repro.faults.spec.FaultScenario` (or
+        an already materialised one, or a ``--faults`` grammar string).
+        Scenarios are materialised against this allocation's cluster
+        size and lifespan; the materialisation is seeded and
+        deterministic, so fault-injected runs replay bit-identically.
+        A worker crash is ``FaultScenario(faults=(PermanentCrash(c, t),))``
+        (``crash:c@t``): the crashed worker performs no further actions
+        and work on its bench is lost, while results already handed to
+        the channel still arrive.
     skip_failed_results:
         Recovery heuristic for the result sequencer: step past dead
         workers so the tail of the finishing order can still deliver.
@@ -220,12 +216,6 @@ def simulate_allocation(allocation: WorkAllocation, *,
     if engine not in _ENGINES:
         raise SimulationError(
             f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    failures = dict(failures or {})
-    for c, t in failures.items():
-        if not (0 <= c < allocation.n):
-            raise SimulationError(f"failure injected for unknown computer {c}")
-        if t < 0 or t != t:
-            raise SimulationError(f"invalid failure time {t!r} for computer {c}")
     if isinstance(faults, str):
         faults = parse_faults(faults)
     if isinstance(faults, FaultScenario):
@@ -237,15 +227,14 @@ def simulate_allocation(allocation: WorkAllocation, *,
                     f"fault timeline for unknown computer {c}")
 
     # ---- engine dispatch -------------------------------------------------
-    has_faults = bool(failures) or faults is not None
     if engine == "analytic":
-        if has_faults:
+        if faults is not None:
             raise SimulationError(
-                "engine='analytic' cannot simulate faults or failures — "
+                "engine='analytic' cannot simulate faults — "
                 "fault timelines change the event arithmetic; use "
                 "engine='events' (or 'auto') for fault-injected runs")
         return _analytic_dispatch(allocation, results_policy, observer)
-    if engine == "auto" and not has_faults and observer is None:
+    if engine == "auto" and faults is None and observer is None:
         ambient = current_observation()
         if ambient is None or ambient.tracer is None:
             # Fault-free and nobody needs per-event callbacks: the
@@ -293,7 +282,6 @@ def simulate_allocation(allocation: WorkAllocation, *,
             busy_time=params.B * float(profile.rho[c]) * wc,
             result_duration=params.tau_delta * wc,
             sequencer=sequencer,
-            failure_time=failures.get(c),
             fault=timelines.get(c))
 
     if observer is not None and observer.tracer is not None:
@@ -312,7 +300,7 @@ def simulate_allocation(allocation: WorkAllocation, *,
     if observer is not None and observer.registry is not None:
         _record_run_metrics(observer.registry, network, records,
                             faults.faults_injected if faults is not None
-                            else len(failures))
+                            else 0)
 
     tol = 1e-9 * max(1.0, allocation.lifespan)
     completed = tuple(
@@ -339,7 +327,7 @@ def simulate_allocation(allocation: WorkAllocation, *,
         retransmits=network.retransmits,
         messages_lost=network.messages_lost,
         faults_injected=(faults.faults_injected if faults is not None
-                         else len(failures)),
+                         else 0),
     )
 
 

@@ -1,23 +1,19 @@
 """The columnar ProfileBatch kernels: contracts, parity, edit previews.
 
-Parity with the scalar layer is the module's whole contract, so most of
-these tests compare a kernel row-for-row against its scalar counterpart
-with ``==`` (bitwise; HECR alone is allowed ≤1e-12 relative, because
-NumPy's SIMD ``log1p``/``expm1`` over arrays may differ from libm by
-1 ulp).  The broader randomised sweep lives in
+Parity with the scalar layer is the module's whole contract, so these
+tests compare a kernel row-for-row against its scalar counterpart with
+``==`` (bitwise — HECR included: the scalar closed form is a one-element
+call of the batch one).  The broader randomised sweep lives in
 ``tests/properties/test_batch_parity_properties.py``; this file pins
 construction/validation semantics, the empty-batch contract and the
 edit-preview algebra on deterministic cases.
 """
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.batch_kernels import (
     MOMENT_STATISTICS,
-    BatchXEvaluator,
     ProfileBatch,
     hecr_from_x_many,
     majorization_predictions,
@@ -106,11 +102,6 @@ class TestEmptyBatchContract:
         assert minorization_predictions(a, b).shape == (0,)
         assert majorization_predictions(a, b).shape == (0,)
 
-    def test_evaluator_handles_empty(self):
-        ev = BatchXEvaluator(np.empty((0, 4)), PAPER_TABLE1)
-        assert ev.x.shape == (0,)
-        assert ev.x_with_rho(np.empty(0, dtype=int), np.empty(0)).shape == (0,)
-
 
 class TestScalarParity:
     def test_x_bitwise(self, paper_params, rng):
@@ -149,8 +140,8 @@ class TestScalarParity:
         xs = batch.x(paper_params)
         hs = batch.hecr(paper_params, x=xs)
         for row, x, h in zip(rows, xs, hs):
-            scalar = hecr(Profile(row), paper_params, x=float(x))
-            assert math.isclose(h, scalar, rel_tol=1e-12)
+            # Bitwise, not merely close: one closed form serves both.
+            assert h == hecr(Profile(row), paper_params, x=float(x))
 
     def test_moment_statistics_cover_all_predictors(self):
         assert set(MOMENT_STATISTICS) == set(MOMENT_PREDICTORS)
@@ -166,11 +157,16 @@ class TestHecrFromXMany:
             hecr_from_x_many(np.array([np.inf]), 3, paper_params)
 
     def test_finite_rows_match_scalar(self, paper_params):
-        xs = np.array([0.5, 10.0, 400.0])
+        # The last X lies past the saturation bound: NaN here, a
+        # refusal from the scalar path.
+        bound = 1.0 / paper_params.A_minus_tau_delta
+        xs = np.array([0.5, 10.0, 400.0, 2.0 * bound])
         out = hecr_from_x_many(xs, 6, paper_params)
-        for x, h in zip(xs, out):
-            assert math.isclose(h, hecr_from_x(float(x), 6, paper_params),
-                                rel_tol=1e-12)
+        for x, h in zip(xs[:-1], out):
+            assert h == hecr_from_x(float(x), 6, paper_params)
+        assert np.isnan(out[-1])
+        with pytest.raises(InvalidParameterError, match="saturation bound"):
+            hecr_from_x(float(xs[-1]), 6, paper_params)
 
     def test_degenerate_gap_branch(self):
         # A = τδ needs π = τ(δ − 1) ≥ 0, so δ = 1 and π = 0 is the only
@@ -178,55 +174,10 @@ class TestHecrFromXMany:
         params = ModelParams(tau=0.1, pi=0.0, delta=1.0)
         assert params.A_minus_tau_delta == 0.0
         out = hecr_from_x_many(np.array([10.0, 1e9]), 2, params)
-        assert math.isclose(out[0], hecr_from_x(10.0, 2, params),
-                            rel_tol=1e-12)
+        assert out[0] == hecr_from_x(10.0, 2, params)
         assert np.isnan(out[1])  # n/x − A ≤ 0: scalar path raises
-
-
-class TestBatchXEvaluator:
-    def test_preview_matches_scalar_evaluator(self, paper_params, rng):
-        rows = rng.uniform(0.05, 2.0, size=(15, 8))
-        batch_ev = BatchXEvaluator(rows, paper_params)
-        ks = rng.integers(0, 8, size=15)
-        vals = rng.uniform(0.01, 3.0, size=15)
-        previews = batch_ev.x_with_rho(ks, vals)
-        for i, (row, k, v) in enumerate(zip(rows, ks, vals)):
-            assert previews[i] == XEvaluator(row, paper_params).x_with_rho(
-                int(k), float(v))
-
-    def test_scalar_edit_broadcasts(self, paper_params, rng):
-        rows = rng.uniform(0.05, 2.0, size=(4, 5))
-        batch_ev = BatchXEvaluator(rows, paper_params)
-        previews = batch_ev.x_with_rho(2, 0.123)
-        for row, p in zip(rows, previews):
-            assert p == XEvaluator(row, paper_params).x_with_rho(2, 0.123)
-
-    def test_commit_is_fresh_x_measure(self, paper_params, rng):
-        rows = rng.uniform(0.05, 2.0, size=(6, 5))
-        batch_ev = BatchXEvaluator(rows, paper_params)
-        ks = rng.integers(0, 5, size=6)
-        vals = rng.uniform(0.01, 3.0, size=6)
-        committed = batch_ev.set_rho(ks, vals)
-        for row, k, v, x in zip(rows, ks, vals, committed):
-            edited = row.copy()
-            edited[k] = v
-            assert x == x_measure(edited, paper_params)
-
-    def test_edit_validation(self, paper_params, rng):
-        batch_ev = BatchXEvaluator(rng.uniform(0.1, 1.0, size=(3, 4)),
-                                   paper_params)
-        with pytest.raises(InvalidParameterError):
-            batch_ev.x_with_rho(4, 0.5)             # index out of range
-        with pytest.raises(InvalidParameterError):
-            batch_ev.x_with_rho(0, -1.0)            # non-positive rate
-        with pytest.raises(InvalidParameterError):
-            batch_ev.x_with_rho(np.array([0, 1]), np.array([0.5, 0.5, 0.5]))
-
-    def test_profilebatch_evaluator_shares_rows(self, paper_params, rng):
-        rows = rng.uniform(0.1, 1.0, size=(5, 4))
-        batch = ProfileBatch(rows)
-        ev = batch.evaluator(paper_params)
-        np.testing.assert_array_equal(ev.x, batch.x(paper_params))
+        with pytest.raises(InvalidParameterError, match="non-positive"):
+            hecr_from_x(1e9, 2, params)
 
 
 class TestXEvaluatorManyPreviews:

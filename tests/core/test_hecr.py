@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.hecr import hecr, hecr_bisect, hecr_from_x, hecr_many
+from repro.core.batch_kernels import ProfileBatch, hecr_from_x_many
+from repro.core.hecr import hecr, hecr_bisect, hecr_from_x
 from repro.core.homogeneous import homogeneous_x
-from repro.core.measure import x_measure, x_measure_many
+from repro.core.measure import x_measure
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
@@ -96,33 +97,37 @@ class TestHecrFromX:
 
 
 class TestHecrMany:
+    """Proposition 1 over many X-values: ``hecr_from_x_many`` and
+    ``ProfileBatch.hecr``, the one closed form the scalar path calls."""
+
     def test_matches_scalar(self, paper_params, rng):
         profiles = rng.uniform(0.1, 1.0, size=(12, 5))
-        xs = x_measure_many(profiles, paper_params)
-        batch = hecr_many(profiles, xs, paper_params)
+        batch = ProfileBatch(profiles).hecr(paper_params)
         for row, h in zip(profiles, batch):
-            assert h == pytest.approx(hecr(Profile(row), paper_params), rel=1e-11)
+            assert h == hecr(Profile(row), paper_params)
 
     def test_saturated_rows_become_nan(self, paper_params):
         # Force eps to round to 1: report NaN, not garbage.
         n = 4
         profiles = np.full((1, n), 0.5)
         bound = 1.0 / paper_params.A_minus_tau_delta
-        batch = hecr_many(profiles, np.array([bound * (1 - 1e-16)]), paper_params)
+        batch = ProfileBatch(profiles).hecr(
+            paper_params, x=np.array([bound * (1 - 1e-16)]))
         assert np.isnan(batch[0])
 
     def test_shape_mismatch_rejected(self, paper_params):
-        with pytest.raises(InvalidParameterError):
-            hecr_many(np.ones((3, 2)), np.ones(2), paper_params)
+        with pytest.raises(InvalidParameterError, match="shape mismatch"):
+            ProfileBatch(np.ones((3, 2))).hecr(paper_params, x=np.ones(2))
 
     def test_near_saturated_rate_is_nan_not_negative(self, paper_params):
         # Regression: just below the eps >= 1 - 1e-14 cutoff the closed
         # form's cancellation yields a small *negative* rate (-9.95e-07
-        # at this x), which hecr_many used to return where the scalar
-        # path raises.  The whole non-positive family must be NaN.
+        # at this x), which the batch closed form used to return where
+        # the scalar path raises.  The whole non-positive family must be
+        # NaN.
         n = 4
         x = (1.0 - 5e-14) / paper_params.A_minus_tau_delta
-        batch = hecr_many(np.full((1, n), 0.5), np.array([x]), paper_params)
+        batch = hecr_from_x_many(np.array([x]), n, paper_params)
         assert np.isnan(batch[0])          # not -9.95e-07
         with pytest.raises(InvalidParameterError):
             hecr_from_x(x, n, paper_params)
@@ -136,21 +141,24 @@ class TestHecrMany:
         profiles = np.array([[7.81300120e-03, 2.50704307e-02, 5.71952579e-03,
                               1.68593371e-03, 1.99446808e-02, 1.29856016e-02,
                               1.77344792e-02, 1.01874701e-03]])
-        xs = x_measure_many(profiles, params)
+        batch = ProfileBatch(profiles)
+        xs = batch.x(params)
         eps = (params.A - params.tau_delta) * xs[0]
         assert 1.0 - 1e-14 < eps < 1.0  # inside the old padded band
         scalar = hecr_from_x(float(xs[0]), profiles.shape[1], params)
-        batch = hecr_many(profiles, xs, params)
         assert scalar > 0.0
-        assert batch[0] == pytest.approx(scalar, rel=1e-12)
+        assert batch.hecr(params, x=xs)[0] == scalar
 
     def test_empty_batch_returns_empty(self, paper_params):
-        out = hecr_many(np.empty((0, 5)), np.empty(0), paper_params)
+        out = hecr_from_x_many(np.empty(0), 5, paper_params)
         assert out.shape == (0,)
+        assert ProfileBatch(np.empty((0, 5))).hecr(paper_params).shape == (0,)
 
     def test_zero_computer_rows_rejected(self, paper_params):
         with pytest.raises(InvalidParameterError, match="at least one computer"):
-            hecr_many(np.empty((2, 0)), np.empty(2), paper_params)
+            ProfileBatch(np.empty((2, 0)))
+        with pytest.raises(InvalidParameterError, match="n must be >= 1"):
+            hecr_from_x_many(np.empty(2), 0, paper_params)
 
 
 class TestHecrBisectBracket:
@@ -174,9 +182,7 @@ class TestHecrBisectBracket:
             hecr_bisect(profile, self._PARAMS)
         with pytest.raises(InvalidParameterError):
             hecr(profile, self._PARAMS)
-        x = x_measure(profile, self._PARAMS)
-        batch = hecr_many(profile.rho[None, :], np.array([x]), self._PARAMS)
-        assert np.isnan(batch[0])
+        assert np.isnan(ProfileBatch(profile.rho[None, :]).hecr(self._PARAMS)[0])
 
     def test_bracketing_profiles_still_match_closed_form(self):
         # Same extreme regime, one decade less spread: bracketing holds

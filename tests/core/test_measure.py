@@ -9,8 +9,8 @@ from repro.core.measure import (
     work_ratio,
     x_decomposition,
     x_measure,
-    x_measure_many,
 )
+from repro.core.batch_kernels import ProfileBatch
 from repro.core.params import NEGLIGIBLE_OVERHEADS
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
@@ -115,25 +115,27 @@ class TestWorkProduction:
 
 
 class TestXMeasureMany:
+    """Eq. (1) over many profiles at once: ``ProfileBatch.x``."""
+
     def test_matches_scalar(self, paper_params, rng):
         profiles = rng.uniform(0.05, 1.0, size=(20, 6))
-        batch = x_measure_many(profiles, paper_params)
+        batch = ProfileBatch(profiles).x(paper_params)
         for row, x in zip(profiles, batch):
-            assert x == pytest.approx(x_measure(row, paper_params), rel=1e-13)
+            assert x == x_measure(row, paper_params)
 
     def test_rejects_1d(self, paper_params):
         with pytest.raises(InvalidParameterError):
-            x_measure_many(np.ones(4), paper_params)
+            ProfileBatch(np.ones(4))
 
     def test_rejects_nonpositive(self, paper_params):
         with pytest.raises(InvalidParameterError):
-            x_measure_many(np.array([[1.0, 0.0]]), paper_params)
+            ProfileBatch(np.array([[1.0, 0.0]]))
 
     def test_empty_batch_returns_empty(self, paper_params):
         # Regression: (0, n) used to be rejected as "must be non-empty,
         # positive and finite", breaking empty-shard pipelines.  A batch
         # of zero profiles is valid and evaluates to zero X values.
-        out = x_measure_many(np.empty((0, 4)), paper_params)
+        out = ProfileBatch(np.empty((0, 4))).x(paper_params)
         assert out.shape == (0,)
         assert out.dtype == np.float64
 
@@ -141,7 +143,7 @@ class TestXMeasureMany:
         # (m, 0) stays a hard error, with a message naming the shape.
         with pytest.raises(InvalidParameterError,
                            match="at least one computer"):
-            x_measure_many(np.empty((3, 0)), paper_params)
+            ProfileBatch(np.empty((3, 0)))
 
 
 class TestXDecomposition:

@@ -1,30 +1,27 @@
 """Scalar ↔ batch parity properties for the ProfileBatch kernels.
 
 The columnar layer's contract (``repro.core.batch_kernels``): every
-kernel agrees with its scalar counterpart *row for row* — bitwise for
-X, work, the row statistics and all pairwise predictors, and to ≤1e-12
-relative for HECR (NumPy's SIMD ``log1p``/``expm1`` over arrays may
-differ from libm by 1 ulp).  These properties drive random ``(m, n)``
-batches, random environments and random single-ρ edit sequences through
-both layers and compare, in the style of the fast-path equivalence
-suite.
+kernel agrees with its scalar counterpart *row for row*, bitwise — X,
+work, HECR, the row statistics and all pairwise predictors.  Eq. (1)
+and Proposition 1 are each implemented once and shared by both layers,
+so the parity holds by construction; these properties drive random
+``(m, n)`` batches, random environments and random single-ρ edit
+sequences through both layers and compare, in the style of the
+fast-path equivalence suite.
 """
-
-import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.batch_kernels import (
-    BatchXEvaluator,
     ProfileBatch,
     majorization_predictions,
     minorization_predictions,
     moment_predictions,
     variance_predictions,
 )
-from repro.core.hecr import hecr_from_x
+from repro.core.hecr import hecr, hecr_from_x
 from repro.core.measure import XEvaluator, work_production, work_rate, x_measure
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
@@ -32,6 +29,8 @@ from repro.errors import InvalidParameterError
 from repro.predictors.dominance import DominanceVerdict, minorization_predicts
 from repro.predictors.majorization import majorization_prediction
 from repro.predictors.variance import MOMENT_PREDICTORS, variance_prediction
+from repro.service.coalescer import solve_batch
+from repro.stream.engine import _evaluate as stream_window_state
 
 _VERDICT_CODES = {DominanceVerdict.FIRST_DOMINATES: 0,
                   DominanceVerdict.SECOND_DOMINATES: 1,
@@ -108,15 +107,27 @@ def test_hecr_parity_including_refusals(rows, params):
     xs = batch.x(params)
     hs = batch.hecr(params, x=xs)
     n = rows.shape[1]
-    for x, h in zip(xs, hs):
+    for row, x, h in zip(rows, xs, hs):
+        p = Profile(row)
+        alone = ProfileBatch(p.rho[None]).hecr(params)[0]
+        # What /v1/hecr answers and what a stream window over these
+        # workers reports.
+        served_ok, served = solve_batch(
+            [("hecr", {"profile": tuple(row), "params": params})])[0]
+        window = stream_window_state(dict(enumerate(row)), params, 1.0)
         try:
             scalar = hecr_from_x(float(x), n, params)
         except InvalidParameterError:
             # Scalar refusals (saturated / non-positive rate) must be
-            # exactly the NaN rows — the hecr_many negative-rate bugfix.
-            assert np.isnan(h)
+            # exactly the NaN rows — the negative-rate bugfix.
+            assert np.isnan(h) and np.isnan(alone)
+            assert not served_ok and window["hecr"] is None
         else:
-            assert math.isclose(h, scalar, rel_tol=1e-12)
+            assert h == scalar
+            assert hecr(p, params) == scalar
+            assert alone == scalar
+            assert served_ok and served["hecr"] == scalar
+            assert window["hecr"] == scalar
 
 
 @given(rows=batches())
@@ -174,18 +185,15 @@ def test_variance_and_majorization_parity_on_permuted_rows(rows):
 def test_edit_sequences_bitwise_parity(case, params):
     rows, edits = case
     m, _ = rows.shape
-    batch_ev = BatchXEvaluator(rows, params)
-    scalar_evs = [XEvaluator(row, params) for row in rows]
+    evs = [XEvaluator(row, params) for row in rows]
     for indices, values in edits:
-        previews = batch_ev.x_with_rho(indices, values)
-        for i, ev in enumerate(scalar_evs):
-            assert previews[i] == ev.x_with_rho(int(indices[i]),
-                                                float(values[i]))
-        committed = batch_ev.set_rho(indices, values)
-        for i, ev in enumerate(scalar_evs):
-            ev.set_rho(int(indices[i]), float(values[i]))
-            assert committed[i] == ev.x
-    # After the whole sequence the committed state is a fresh x_measure.
-    final = batch_ev.x
+        for i, ev in enumerate(evs):
+            k, v = int(indices[i]), float(values[i])
+            many = ev.x_with_rho_many(np.array([k]), np.array([v]))
+            assert many[0] == ev.x_with_rho(k, v)
+            ev.set_rho(k, v)
+            assert ev.x == x_measure(ev.rho, params)
+    # After the whole sequence each committed state is its batch row.
+    final = ProfileBatch(np.stack([ev.rho for ev in evs])).x(params)
     for i in range(m):
-        assert final[i] == x_measure(batch_ev.rho[i], params)
+        assert final[i] == evs[i].x

@@ -10,7 +10,9 @@ import pytest
 
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
-from repro.errors import SimulationError
+from repro.errors import FaultInjectionError
+from repro.faults.models import PermanentCrash
+from repro.faults.spec import FaultScenario
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.timeline import build_timeline
 from repro.simulation.runner import simulate_allocation
@@ -24,6 +26,12 @@ def setup():
     return params, profile, alloc
 
 
+def _crashes(times: dict[int, float]) -> FaultScenario:
+    """Computer ``c`` crashes permanently at ``times[c]``."""
+    return FaultScenario(faults=tuple(PermanentCrash(c, t)
+                                      for c, t in times.items()))
+
+
 def _busy_midpoint(alloc, computer: int) -> float:
     tl = build_timeline(alloc)
     busy = [iv for iv in tl.for_computer(computer) if iv.kind == "busy"][0]
@@ -33,14 +41,15 @@ def _busy_midpoint(alloc, computer: int) -> float:
 class TestStrictProtocol:
     def test_no_failures_baseline(self, setup):
         _, _, alloc = setup
-        result = simulate_allocation(alloc, failures={})
+        result = simulate_allocation(alloc, faults=_crashes({}))
+        assert result.events_processed > 0  # an empty scenario still runs events
         assert result.all_completed
         assert result.failed_computers == ()
 
     def test_last_finisher_crash_loses_only_its_quantum(self, setup):
         _, _, alloc = setup
         t = _busy_midpoint(alloc, 3)
-        result = simulate_allocation(alloc, failures={3: t})
+        result = simulate_allocation(alloc, faults=_crashes({3: t}))
         assert result.failed_computers == (3,)
         assert set(result.completed_computers) == {0, 1, 2}
         assert result.completed_work == pytest.approx(
@@ -50,19 +59,20 @@ class TestStrictProtocol:
         # Strict FIFO: results behind the dead first finisher never flow.
         _, _, alloc = setup
         t = _busy_midpoint(alloc, 0)
-        result = simulate_allocation(alloc, failures={0: t})
+        result = simulate_allocation(alloc, faults=_crashes({0: t}))
         assert result.failed_computers == (0,)
         assert result.completed_work == 0.0
 
     def test_crash_before_receiving(self, setup):
         _, _, alloc = setup
-        result = simulate_allocation(alloc, failures={3: 0.0})
+        result = simulate_allocation(alloc, faults=_crashes({3: 0.0}))
         assert 3 in result.failed_computers
         assert 3 not in result.completed_computers
 
     def test_crash_after_all_work_done_changes_nothing(self, setup):
         _, _, alloc = setup
-        result = simulate_allocation(alloc, failures={2: alloc.lifespan * 10})
+        result = simulate_allocation(
+            alloc, faults=_crashes({2: alloc.lifespan * 10}))
         assert result.all_completed
         assert result.failed_computers == ()
 
@@ -71,7 +81,7 @@ class TestSkipRecovery:
     def test_skip_loses_only_the_dead_quantum(self, setup):
         _, _, alloc = setup
         t = _busy_midpoint(alloc, 0)
-        result = simulate_allocation(alloc, failures={0: t},
+        result = simulate_allocation(alloc, faults=_crashes({0: t}),
                                      skip_failed_results=True)
         assert set(result.completed_computers) == {1, 2, 3}
         assert result.completed_work == pytest.approx(
@@ -81,8 +91,8 @@ class TestSkipRecovery:
         # The recovery heuristic's value = everything behind the failure.
         _, _, alloc = setup
         t = _busy_midpoint(alloc, 0)
-        strict = simulate_allocation(alloc, failures={0: t})
-        skipping = simulate_allocation(alloc, failures={0: t},
+        strict = simulate_allocation(alloc, faults=_crashes({0: t}))
+        skipping = simulate_allocation(alloc, faults=_crashes({0: t}),
                                        skip_failed_results=True)
         assert skipping.completed_work - strict.completed_work == pytest.approx(
             alloc.w[1] + alloc.w[2] + alloc.w[3], rel=1e-9)
@@ -90,7 +100,7 @@ class TestSkipRecovery:
     def test_multiple_failures(self, setup):
         _, _, alloc = setup
         failures = {0: _busy_midpoint(alloc, 0), 2: _busy_midpoint(alloc, 2)}
-        result = simulate_allocation(alloc, failures=failures,
+        result = simulate_allocation(alloc, faults=_crashes(failures),
                                      skip_failed_results=True)
         assert set(result.failed_computers) == {0, 2}
         assert set(result.completed_computers) == {1, 3}
@@ -98,7 +108,7 @@ class TestSkipRecovery:
     def test_all_fail(self, setup):
         _, _, alloc = setup
         failures = {c: 0.0 for c in range(4)}
-        result = simulate_allocation(alloc, failures=failures,
+        result = simulate_allocation(alloc, faults=_crashes(failures),
                                      skip_failed_results=True)
         assert result.completed_work == 0.0
         assert len(result.failed_computers) == 4
@@ -107,10 +117,10 @@ class TestSkipRecovery:
 class TestValidation:
     def test_unknown_computer_rejected(self, setup):
         _, _, alloc = setup
-        with pytest.raises(SimulationError):
-            simulate_allocation(alloc, failures={9: 1.0})
+        with pytest.raises(FaultInjectionError, match="unknown computer"):
+            simulate_allocation(alloc, faults=_crashes({9: 1.0}))
 
     def test_negative_time_rejected(self, setup):
         _, _, alloc = setup
-        with pytest.raises(SimulationError):
-            simulate_allocation(alloc, failures={0: -1.0})
+        with pytest.raises(FaultInjectionError, match="crash time"):
+            simulate_allocation(alloc, faults=_crashes({0: -1.0}))

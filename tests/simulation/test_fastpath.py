@@ -123,7 +123,7 @@ class TestDispatch:
     def test_analytic_refuses_failures(self):
         alloc = fifo_allocation(Profile.linear(3), _PARAMS, 50.0)
         with pytest.raises(SimulationError, match="analytic"):
-            simulate_allocation(alloc, engine="analytic", failures={0: 5.0})
+            simulate_allocation(alloc, engine="analytic", faults="crash:0@5")
 
     def test_analytic_refuses_fault_specs(self):
         alloc = fifo_allocation(Profile.linear(3), _PARAMS, 50.0)
@@ -143,7 +143,7 @@ class TestDispatch:
 
     def test_auto_with_faults_runs_events(self):
         alloc = fifo_allocation(Profile.linear(4), _PARAMS, 100.0)
-        result = simulate_allocation(alloc, engine="auto", failures={1: 5.0})
+        result = simulate_allocation(alloc, engine="auto", faults="crash:1@5")
         assert result.events_processed > 0
 
     def test_explicit_observer_forces_events(self):

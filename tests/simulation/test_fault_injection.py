@@ -1,8 +1,9 @@
-"""Fault injection through simulate_allocation (tentpole layer 1).
+"""Fault injection through simulate_allocation.
 
-The original failure machinery (``failures={c: t}``) has exact,
-well-tested semantics; these tests pin the generalised fault models to
-them and to the analytic expectations of each new fault shape.
+Worker crashes used to have a second entry point, a ``failures={c: t}``
+dict; ``TestCrashFaultBackCompat`` pins the crash scenario to the
+results that path produced.  The other tests pin each fault shape to its
+analytic expectation.
 """
 
 import pytest
@@ -29,29 +30,40 @@ def _crash_mid_busy(alloc, c: int) -> float:
 
 
 class TestCrashFaultBackCompat:
-    """faults=PermanentCrash must equal the legacy failures= path."""
+    """A crash scenario reproduces the removed ``failures=`` path's results.
+
+    The expected values were recorded from ``failures={c: t}`` runs of
+    this allocation before that parameter was removed.
+    """
+
+    #: crashed computer → (completed computers, completed work, events).
+    _LEGACY = {0: ((), 0.0, 12),
+               1: ((0,), 49.317839933769065, 13),
+               2: ((0, 1), 145.69468743792845, 14),
+               3: ((0, 1, 2), 286.7471577103711, 15)}
 
     @pytest.mark.parametrize("c", [0, 1, 2, 3])
     def test_crash_matches_legacy_failures(self, c):
         alloc = _alloc()
         crash = _crash_mid_busy(alloc, c)
-        legacy = simulate_allocation(alloc, failures={c: crash})
-        scenario = FaultScenario(faults=(PermanentCrash(c, crash),))
-        modern = simulate_allocation(alloc, faults=scenario)
-        assert modern.completed_work == legacy.completed_work
-        assert modern.failed_computers == legacy.failed_computers
-        assert modern.records == legacy.records
+        result = simulate_allocation(
+            alloc, faults=FaultScenario(faults=(PermanentCrash(c, crash),)))
+        completed, work, events = self._LEGACY[c]
+        assert result.failed_computers == (c,)
+        assert result.completed_computers == completed
+        assert result.completed_work == work
+        assert result.events_processed == events
+        assert result.faults_injected == 1
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_crash_matches_legacy_under_both_policies(self, skip):
         alloc = _alloc()
         crash = _crash_mid_busy(alloc, 1)
-        legacy = simulate_allocation(alloc, failures={1: crash},
-                                     skip_failed_results=skip)
-        modern = simulate_allocation(
+        result = simulate_allocation(
             alloc, faults=FaultScenario(faults=(PermanentCrash(1, crash),)),
             skip_failed_results=skip)
-        assert modern.completed_work == legacy.completed_work
+        assert result.completed_work == (373.6179638934875 if skip
+                                         else 49.317839933769065)
 
     def test_crash_beyond_lifespan_changes_nothing(self):
         alloc = _alloc()
