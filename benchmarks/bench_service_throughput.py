@@ -1,7 +1,7 @@
 """Serving-layer throughput benchmark: micro-batched vs unbatched.
 
 Boots the service twice on a loopback ephemeral port — once with the
-micro-batching coalescer on (the default 2 ms window) and once strictly
+micro-batching coalescer on (``max_batch=64``) and once strictly
 unbatched (``max_batch=1``) — and drives both with the same closed-loop
 multi-threaded workload of hot evaluation queries (``/v1/x``, ``/v1/hecr``,
 FIFO and LP ``/v1/allocate``).  The response cache is disabled in both
@@ -185,10 +185,10 @@ def test_service_throughput(report_sink):
     check_mode = os.environ.get("REPRO_PERF_CHECK", "") == "1"
 
     unbatched, unbatched_responses = _load_phase(ServiceConfig(
-        port=0, batch_window=0.0, max_batch=1,
+        port=0, max_batch=1,
         cache_ttl=0.0, no_result_cache=True))
     batched, batched_responses = _load_phase(ServiceConfig(
-        port=0, batch_window=0.002, max_batch=64,
+        port=0, max_batch=64,
         cache_ttl=0.0, no_result_cache=True))
     speedup = batched["throughput_rps"] / unbatched["throughput_rps"]
 

@@ -27,7 +27,7 @@ Examples
     repro-hetero run table3
     repro-hetero run variance-trials --trials 200 --seed 7
     repro-hetero hecr --profile 1,0.5,0.333,0.25
-    repro-hetero serve --port 8023 --batch-window 2.0
+    repro-hetero serve --port 8023
     repro-hetero stream --source trace.jsonl --window 10 --what-if 1,1,0.5
     repro-hetero obs tail
     repro-hetero obs compare <baseline-run> <candidate-run>
@@ -152,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 8023)")
     serve.add_argument("--batch-window", type=float, default=2.0,
                        metavar="MS",
-                       help="micro-batching window in milliseconds; 0 "
-                            "disables coalescing (default: 2.0)")
+                       help="retired, has no effect: each micro-batch is "
+                            "whatever is already queued, solved at once; "
+                            "kept so existing command lines still parse")
     serve.add_argument("--max-batch", type=int, default=64, metavar="N",
                        help="max evaluation requests solved in one "
                             "coalesced batch (default: 64)")
@@ -682,7 +683,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(service) -> None:
         print(f"repro-hetero serving on http://{service.host}:{service.port} "
-              f"(batch window {args.batch_window:g} ms, max in-flight "
+              f"(max batch {args.max_batch}, max in-flight "
               f"{args.max_inflight})", file=sys.stderr)
 
     try:

@@ -22,7 +22,7 @@ Layout
     :class:`~repro.batch.cache.ResultCache`).
 :mod:`repro.service.coalescer`
     The micro-batching heart: concurrent evaluation requests are
-    collected for a small window and solved in one shot —
+    drained from the queue and solved in one shot —
     bit-identically to per-request solves.
 :mod:`repro.service.app`
     :class:`ReproService` — routing, handlers, deadlines, metrics.

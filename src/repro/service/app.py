@@ -27,12 +27,13 @@ documented in ``docs/SERVICE.md``; the telemetry surfaces in
 observability layer: ``svc_requests_total{route,code}``,
 ``svc_request_seconds{route}`` (with trace-id exemplars),
 ``svc_inflight``, ``svc_shed_total{reason}``, ``svc_batch_size``,
-``svc_slo_burn_rate{route}``, one ``svc:<route>`` span record per
-request (emitted pre-timed via ``Tracer.record_span`` because asyncio
-tasks interleave and must not share the tracer's thread-local span
-stack), a JSON access-log line per request on the
-``repro.service.access`` logger, and — unless disabled — one
-run-history-store row per ``/v1/*`` request and experiment dispatch.
+``svc_batch_flush_total{reason}``, ``svc_slo_burn_rate{route}``, one
+``svc:<route>`` span record per request (emitted pre-timed via
+``Tracer.record_span`` because asyncio tasks interleave and must not
+share the tracer's thread-local span stack), a JSON access-log line
+per request on the ``repro.service.access`` logger, and — unless
+disabled — one run-history-store row per ``/v1/*`` request and
+experiment dispatch.
 Every response carries ``X-Repro-Trace-Id`` / ``X-Repro-Span-Id``.
 """
 
@@ -336,8 +337,7 @@ class ReproService:
         self.cache = ResponseCache(self.config.cache_entries,
                                    self.config.cache_ttl,
                                    shared=self.shared)
-        self.batcher = MicroBatcher(window=self.config.batch_window,
-                                    max_batch=self.config.max_batch,
+        self.batcher = MicroBatcher(max_batch=self.config.max_batch,
                                     registry=self.registry,
                                     tracer=self.tracer)
         self._server: asyncio.AbstractServer | None = None
@@ -853,9 +853,26 @@ class ReproService:
             calibrate=calibrate, what_if=what_if, forget=float(forget),
             registry=self.registry, store=self.store, label="service")
 
+    def _stream_refusal(self) -> _Response | None:
+        """409 under ``workers > 1``: the session lives in one process.
+
+        ``SO_REUSEPORT`` spreads requests over the workers, so each would
+        hold its own partial session and windows would split silently.
+        A refused request is better than a wrong window.
+        """
+        if self.config.workers <= 1:
+            return None
+        return _error_response(
+            409, f"stream sessions need a single worker; this server runs "
+                 f"{self.config.workers} workers, which would split the "
+                 f"session's windows", reason="multi_worker")
+
     async def _handle_stream_events(self, request: Request) -> _Response:
         from repro.stream import event_from_dict
 
+        refusal = self._stream_refusal()
+        if refusal is not None:
+            return refusal
         body = self._json_body(request)
         events = body.get("events", [])
         if not isinstance(events, list):
@@ -886,6 +903,9 @@ class ReproService:
                                     "windows": records, "state": state})
 
     async def _handle_stream_state(self, request: Request) -> _Response:
+        refusal = self._stream_refusal()
+        if refusal is not None:
+            return refusal
         async with self._stream_lock:
             if self._stream is None:
                 return _json_response(200, {"active": False, "state": None})

@@ -1,8 +1,11 @@
 """Micro-batched evaluation: the serving layer's heart.
 
 Concurrent in-flight evaluation requests (``/v1/x``, ``/v1/work``,
-``/v1/hecr``, ``/v1/allocate``) are collected for a short window (or
-until ``max_batch`` of them are waiting) and solved **in one shot**:
+``/v1/hecr``, ``/v1/allocate``) are collected into one batch (at most
+``max_batch``) and solved **in one shot**.  A batch is the first queued
+request plus everything already queued behind it, dispatched at once:
+a lone request never waits for company, and under load the requests
+that queue while one batch solves become the next.  Within a batch:
 
 * identical requests are *collapsed* — one solve fans its answer out to
   every waiter, which is what turns a thundering herd on a hot query
@@ -31,7 +34,7 @@ concurrent request mixes.
 
 :func:`solve_batch` is a synchronous pure function so the equivalence
 property can be tested without a running server;
-:class:`MicroBatcher` wraps it in the asyncio queue + window loop.
+:class:`MicroBatcher` wraps it in the asyncio queue + flush policy.
 """
 
 from __future__ import annotations
@@ -53,13 +56,19 @@ from repro.io import allocation_to_dict
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import lp_allocation_many
 
-__all__ = ["EVAL_KINDS", "BatchSolver", "MicroBatcher", "request_key",
-           "solve_batch"]
+__all__ = ["EVAL_KINDS", "FLUSH_REASONS", "BatchSolver", "MicroBatcher",
+           "request_key", "solve_batch"]
 
 EVAL_KINDS = ("x", "work", "hecr", "allocate")
 
 #: svc_batch_size histogram buckets: powers of two up to the default cap.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+#: Why a micro-batch left the queue (``svc:batch`` ``flush`` attribute,
+#: ``svc_batch_flush_total{reason}``): ``alone`` — a batch of one, the
+#: queue empty behind it; ``drained`` — several, the queue emptied;
+#: ``full`` — ``max_batch`` reached with more possibly still queued.
+FLUSH_REASONS = ("alone", "drained", "full")
 
 
 def request_key(kind: str, payload: dict[str, Any]) -> tuple:
@@ -327,25 +336,23 @@ def solve_batch(requests: Sequence[tuple[str, dict[str, Any]]]
 
 
 class MicroBatcher:
-    """The asyncio front of :class:`BatchSolver`: queue, window, fan-out.
+    """The asyncio front of :class:`BatchSolver`: queue, flush, fan-out.
 
-    ``submit()`` parks a request on the queue and awaits its future;
-    the drain task gathers company for ``window`` seconds (or until
-    ``max_batch``), solves the batch synchronously on the loop thread,
-    and resolves every future.  ``window=0`` still drains whatever is
-    already queued in one batch — set ``max_batch=1`` for a strictly
-    unbatched server (the benchmark's baseline).
+    ``submit()`` parks a request on the queue and awaits its future.
+    The drain task takes the first request and everything already
+    queued behind it (up to ``max_batch``) and solves that batch at
+    once, synchronously on the loop thread, then resolves every future.
+    It never waits for company: requests that arrive while a batch
+    solves queue up and form the next batch, so batches grow with load
+    on their own.  ``max_batch=1`` gives a strictly unbatched server
+    (the benchmark's baseline).
     """
 
-    def __init__(self, *, window: float = 0.002, max_batch: int = 64,
-                 registry: Any = None, xpool_entries: int = 256,
-                 tracer: Any = None) -> None:
-        if window < 0:
-            raise InvalidParameterError(f"window must be >= 0, got {window!r}")
+    def __init__(self, *, max_batch: int = 64, registry: Any = None,
+                 xpool_entries: int = 256, tracer: Any = None) -> None:
         if max_batch < 1:
             raise InvalidParameterError(
                 f"max_batch must be >= 1, got {max_batch!r}")
-        self.window = float(window)
         self.max_batch = int(max_batch)
         self.solver = BatchSolver(xpool_entries)
         self._registry = registry
@@ -399,30 +406,23 @@ class MicroBatcher:
         return await future
 
     # -- the drain loop ------------------------------------------------
-    async def _gather(self) -> list[tuple[str, dict, asyncio.Future,
-                                          str | None]]:
-        """Block for the first request, then coalesce companions."""
+    async def _gather(self) -> tuple[list[tuple[str, dict, asyncio.Future,
+                                                str | None]], str]:
+        """Block for the first request, then take everything queued.
+
+        Returns the batch and its flush reason (see
+        :data:`FLUSH_REASONS`).
+        """
         batch = [await self._queue.get()]
-        if self.window > 0.0:
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + self.window
-            while len(batch) < self.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0.0:
-                    break
-                try:
-                    batch.append(await asyncio.wait_for(
-                        self._queue.get(), timeout=remaining))
-                except asyncio.TimeoutError:
-                    break
-        else:
-            while len(batch) < self.max_batch and not self._queue.empty():
-                batch.append(self._queue.get_nowait())
-        return batch
+        while len(batch) < self.max_batch and not self._queue.empty():
+            batch.append(self._queue.get_nowait())
+        if len(batch) >= self.max_batch:
+            return batch, "full"
+        return batch, "alone" if len(batch) == 1 else "drained"
 
     async def _drain_loop(self) -> None:
         while True:
-            batch = await self._gather()
+            batch, flush = await self._gather()
             self.batches += 1
             self.requests += len(batch)
             if self._registry is not None:
@@ -430,6 +430,10 @@ class MicroBatcher:
                     "svc_batch_size",
                     "evaluation requests coalesced per micro-batch",
                     buckets=BATCH_SIZE_BUCKETS).observe(float(len(batch)))
+                self._registry.counter(
+                    "svc_batch_flush_total",
+                    "micro-batches dispatched, by why they left the queue"
+                ).inc(reason=flush)
             collapsed_before = self.solver.collapsed
             solve_start = time.perf_counter()
             outcomes = self.solver.solve([(k, p) for k, p, _, _ in batch])
@@ -443,7 +447,7 @@ class MicroBatcher:
                     parent_id=waiters[0] if waiters else None,
                     attrs={"size": len(batch),
                            "collapsed": self.solver.collapsed - collapsed_before,
-                           "waiters": waiters})
+                           "flush": flush, "waiters": waiters})
             for (_, _, future, _), (ok, value) in zip(batch, outcomes):
                 if future.done():  # deadline hit while queued: nobody waits
                     continue

@@ -2,7 +2,7 @@
 
 Defaults are chosen for a loopback development server; the CLI's
 ``serve`` subcommand exposes the operationally interesting knobs
-(``--batch-window``, ``--max-inflight``, ``--rate``, …) and leaves the
+(``--max-batch``, ``--max-inflight``, ``--rate``, …) and leaves the
 rest at these values.  Validation happens at construction so a
 misconfigured server refuses to start instead of misbehaving under
 load.
@@ -27,12 +27,14 @@ class ServiceConfig:
         Bind address.  ``port=0`` asks the OS for an ephemeral port
         (the bound port is reported by ``ReproService.port``).
     batch_window:
-        Seconds the micro-batching coalescer waits after the first
-        queued evaluation request for companions before solving
-        (``0`` disables coalescing: every request solves alone).
+        Retired; validated (``>= 0``) but has no effect.  The coalescer
+        no longer waits for companions: each batch is the first queued
+        request plus whatever is already queued, solved at once.  Kept
+        so existing configurations and ``--batch-window`` command lines
+        still work.
     max_batch:
-        Hard cap on requests solved in one coalesced batch; a full
-        batch solves immediately without waiting out the window.
+        Hard cap on requests solved in one coalesced batch — the only
+        batching setting.
     max_inflight:
         Admitted-but-unanswered request ceiling; request number
         ``max_inflight + 1`` is shed with ``503`` + ``Retry-After``.

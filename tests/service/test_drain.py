@@ -52,6 +52,22 @@ def _read_response(sock: socket.socket) -> tuple[int, dict[str, str], bytes]:
     return status, headers, rest
 
 
+def _slow_evaluations(server: ServiceThread, delay: float) -> None:
+    """Make every evaluation request take ``delay`` seconds in flight.
+
+    The request sleeps on the event loop before reaching the coalescer,
+    so it stays in flight without blocking the server.
+    """
+    batcher = server.service.batcher
+    submit = batcher.submit
+
+    async def slow_submit(*args, **kwargs):
+        await asyncio.sleep(delay)
+        return await submit(*args, **kwargs)
+
+    batcher.submit = slow_submit
+
+
 def _start_drain(server: ServiceThread, timeout: float) -> "asyncio.Future":
     """Kick off service.drain() on the server's loop; returns the future."""
     return asyncio.run_coroutine_threadsafe(
@@ -68,13 +84,13 @@ def server():
 
 class TestDrain:
     def test_keepalive_request_during_drain_gets_503(self):
-        # An in-flight slow request (long batch window) holds the drain
-        # open; a request arriving on another keep-alive connection in
-        # that window must get a clean 503, not a connection reset.
+        # An in-flight slow request holds the drain open; a request
+        # arriving on another keep-alive connection in that window must
+        # get a clean 503, not a connection reset.
         config = ServiceConfig(port=0, no_store=True, cache_ttl=0.0,
-                               cache_entries=0, batch_window=0.5,
-                               drain_timeout=5.0)
+                               cache_entries=0, drain_timeout=5.0)
         with ServiceThread(config) as server:
+            _slow_evaluations(server, 0.5)
             slow = socket.create_connection(("127.0.0.1", server.port))
             idle = socket.create_connection(("127.0.0.1", server.port))
             try:
@@ -113,17 +129,16 @@ class TestDrain:
             socket.create_connection(("127.0.0.1", port), timeout=1.0)
 
     def test_inflight_request_finishes_within_drain_timeout(self):
-        # A long batch window makes an eval request observably slow:
-        # submitted work waits out the window before solving, so a
-        # drain starting mid-request must still answer it with 200.
+        # An observably slow eval request: a drain starting mid-request
+        # must still answer it with 200.
         config = ServiceConfig(port=0, no_store=True, cache_ttl=0.0,
-                               cache_entries=0, batch_window=0.4,
-                               drain_timeout=5.0)
+                               cache_entries=0, drain_timeout=5.0)
         with ServiceThread(config) as server:
+            _slow_evaluations(server, 0.4)
             with socket.create_connection(("127.0.0.1", server.port)) as sock:
                 _send_request(sock, "POST", "/v1/x",
                               {"profile": [1.0, 2.0, 3.0]})
-                time.sleep(0.05)  # request is now in the batch window
+                time.sleep(0.05)  # request is now in flight
                 started = time.perf_counter()
                 future = _start_drain(server, 5.0)
                 status, _, body = _read_response(sock)
@@ -161,9 +176,9 @@ class TestDrain:
 
     def test_shed_counter_labels_draining(self):
         config = ServiceConfig(port=0, no_store=True, cache_ttl=0.0,
-                               cache_entries=0, batch_window=0.5,
-                               drain_timeout=5.0)
+                               cache_entries=0, drain_timeout=5.0)
         with ServiceThread(config) as server:
+            _slow_evaluations(server, 0.5)
             registry = server.service.registry
             # The service shares the process-global registry: other
             # tests may have shed already, so assert the delta.

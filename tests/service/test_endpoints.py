@@ -7,6 +7,7 @@ path the CI smoke job and the throughput benchmark use.
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -170,6 +171,23 @@ class TestBatchingOverHttp:
             assert results[0] == x_measure(Profile(PROFILE), PAPER_TABLE1)
             # at least some requests must have shared a batch/solve
             assert solver.collapsed + solver.xpool.hits > 0
+
+    def test_lone_request_does_not_wait_for_company(self, tmp_path):
+        # The coalescer dispatches whatever is queued at once; the
+        # retired batch_window no longer delays anything.
+        registry = MetricsRegistry()
+        config = ServiceConfig(port=0, batch_window=1.0, cache_entries=0,
+                               no_result_cache=True, no_store=True)
+        with ServiceThread(config, registry=registry) as server:
+            with server.client() as client:
+                client.healthz()  # connect before timing
+                started = time.perf_counter()
+                got = client.x(PROFILE)
+                elapsed = time.perf_counter() - started
+        assert got["x"] == x_measure(Profile(PROFILE), PAPER_TABLE1)
+        assert elapsed < 0.5
+        assert registry.counter("svc_batch_flush_total", "").value(
+            reason="alone") == 1
 
     def test_response_cache_serves_repeats(self, tmp_path):
         registry = MetricsRegistry()

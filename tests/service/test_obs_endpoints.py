@@ -90,6 +90,7 @@ class TestRecordSpan:
         (batch_span,) = tracer.records_named("svc:batch")
         assert batch_span["parent_id"] == headers["X-Repro-Span-Id"]
         assert headers["X-Repro-Span-Id"] in batch_span["attrs"]["waiters"]
+        assert batch_span["attrs"]["flush"] == "alone"
 
 
 class TestMetricsSurfaces:

@@ -108,3 +108,24 @@ class TestStreamErrors:
             state = client.request("GET", "/v1/stream/state")
             assert state["active"] is True
             assert state["state"]["events_total"] == 3
+
+
+class TestStreamUnderFleet:
+    """One session per process cannot be shared across workers: refuse."""
+
+    @pytest.mark.parametrize("method, path, body", [
+        ("POST", "/v1/stream/events", {"events": [], "window": 10.0}),
+        ("GET", "/v1/stream/state", None),
+    ])
+    def test_multi_worker_refuses_with_409(self, tmp_path, method, path,
+                                           body):
+        config = ServiceConfig(port=0, workers=2, worker_index=0,
+                               no_store=True, no_shared_cache=True,
+                               result_cache_dir=str(tmp_path / "cache"))
+        with ServiceThread(config, registry=MetricsRegistry()) as thread:
+            with thread.client() as client:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request(method, path, body)
+        assert excinfo.value.status == 409
+        assert excinfo.value.payload["reason"] == "multi_worker"
+        assert "single worker" in excinfo.value.payload["error"]
