@@ -7,12 +7,13 @@ The subsystem behind ``repro-hetero run all --jobs N``:
   :class:`~repro.experiments.base.ShardSpec`, their independent trial
   shards) across cores, deterministically: ``--jobs N`` is row-for-row
   identical to ``--jobs 1``.
-* :mod:`repro.batch.cache` — a content-addressed on-disk result cache
-  keyed by ``(experiment_id, kwargs, seed, package version)`` so
-  repeated ``run all`` / ``report`` invocations skip unchanged work.
-* :mod:`repro.batch.shared_cache` — a process-shared on-disk tier with
-  claim-file single-flight dedup, used by ``serve --workers N`` so one
-  fleet computes each hot answer once.
+* :mod:`repro.batch.cache` — the experiment codec for the result
+  cache, keyed by ``(experiment_id, kwargs, seed, package version)`` so
+  repeated ``run all`` / ``report`` invocations skip unchanged work and
+  ``serve`` dispatches single-flight on the same entry.
+* :mod:`repro.batch.shared_cache` — the one on-disk tier underneath:
+  atomic publishes plus claim-file single-flight dedup, so processes
+  sharing a directory compute each answer once.
 
 See ``docs/BATCH.md`` for the execution model, the seeding scheme and
 the observability-merge semantics.

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk cache for experiment results.
+"""Content-addressed experiment results on the shared cache tier.
 
 Every registered experiment is a pure function of its keyword arguments
 (all RNG use is seeded through them), so a completed result can be
@@ -7,10 +7,12 @@ unchanged.  The cache key is the SHA-256 of that tuple's canonical JSON
 form — the seed rides inside ``kwargs``, and the package version folds
 in so a code change invalidates every entry at once.
 
-Entries are JSON documents holding :func:`repro.io.result_to_dict`
-payloads.  A hit rebuilds the result with
+:class:`ResultCache` is only the experiment codec over a
+:class:`~repro.batch.shared_cache.SharedCache` (no expiry): entry
+``<experiment_id>-<cache_key>`` holds a :func:`repro.io.result_to_dict`
+payload.  A hit rebuilds the result with
 :func:`repro.io.result_from_dict`, whose re-serialisation is
-byte-identical to the stored document — so warmed ``run all --json`` /
+byte-identical to the stored payload — so warmed ``run all --json`` /
 ``report`` invocations are bit-reproducible.  Anything unreadable,
 mismatched or unserialisable degrades to a miss (or a skipped store):
 the cache can lose entries, never corrupt results.
@@ -22,17 +24,15 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro import __version__
+from repro.batch.shared_cache import SharedCache
 from repro.experiments.base import ExperimentResult
 from repro.experiments.export import jsonable
 from repro.io import result_from_dict, result_to_dict
-from repro.util.fsio import atomic_write_text
 
 __all__ = ["ResultCache", "cache_key", "default_cache_dir"]
-
-_SCHEMA_VERSION = 1
 
 
 def cache_key(experiment_id: str, kwargs: dict[str, Any]) -> str:
@@ -67,59 +67,71 @@ def default_cache_dir() -> Path:
 class ResultCache:
     """A directory of content-addressed experiment results.
 
-    Safe under concurrent writers: entries are written to a temp file
-    and atomically renamed, and two processes computing the same key
-    write identical content anyway.
+    Safe under concurrent writers: :class:`SharedCache` publishes
+    atomically, and two processes computing one key write the same.
     """
 
     def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
+        self.store = SharedCache(root)
 
     def key(self, experiment_id: str, kwargs: dict[str, Any]) -> str:
         """The content address of one experiment invocation."""
         return cache_key(experiment_id, kwargs)
 
-    def _path(self, experiment_id: str, key: str) -> Path:
-        return self.root / f"{experiment_id}-{key[:16]}.json"
+    def _entry(self, experiment_id: str, kwargs: dict[str, Any]) -> str:
+        return f"{experiment_id}-{self.key(experiment_id, kwargs)}"
 
     def get(self, experiment_id: str, kwargs: dict[str, Any]
             ) -> ExperimentResult | None:
         """The cached result, or None on any kind of miss.
 
-        Corrupt, unreadable, stale-schema or key-mismatched files all
+        Corrupt, unreadable, stale-schema or key-mismatched entries all
         count as misses — a damaged cache degrades to recomputation.
         """
-        path = self._path(experiment_id, self.key(experiment_id, kwargs))
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            if payload.get("schema_version") != _SCHEMA_VERSION:
-                return None
-            if payload.get("key") != self.key(experiment_id, kwargs):
-                return None
-            return result_from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        return _decode(self.store.get(self._entry(experiment_id, kwargs)))
 
     def put(self, experiment_id: str, kwargs: dict[str, Any],
             result: ExperimentResult) -> bool:
         """Store a result; returns False when it cannot be serialised.
 
-        Results whose metadata defies JSON (e.g. infinities) are simply
-        not cached — callers lose the speedup, never the result.
+        Results whose metadata defies JSON are simply not cached —
+        callers lose the speedup, never the result.
         """
-        key = self.key(experiment_id, kwargs)
-        path = self._path(experiment_id, key)
         try:
-            document = json.dumps(
-                {"schema_version": _SCHEMA_VERSION, "key": key,
-                 "experiment_id": experiment_id, "version": __version__,
-                 "kwargs": jsonable(kwargs), "result": result_to_dict(result)},
-                indent=2, allow_nan=False)
+            value = result_to_dict(result)
         except (TypeError, ValueError):
             return False
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(path, document)
-        except OSError:
-            return False
-        return True
+        return self.store.put(self._entry(experiment_id, kwargs), value)
+
+    def get_or_compute(self, experiment_id: str, kwargs: dict[str, Any],
+                       compute: Callable[[], ExperimentResult]
+                       ) -> tuple[ExperimentResult, str]:
+        """``(result, outcome)``, computed at most once across processes.
+
+        Single flight on the result entry (see
+        :meth:`SharedCache.get_or_compute`); ``compute()`` exceptions
+        reach this caller only when it led.
+        """
+        fresh: list[ExperimentResult] = []
+
+        def encode() -> dict[str, Any]:
+            fresh.append(compute())
+            return result_to_dict(fresh[0])
+
+        value, outcome = self.store.get_or_compute(
+            self._entry(experiment_id, kwargs), encode)
+        if fresh:
+            return fresh[0], outcome
+        result = _decode(value)
+        if result is None:  # a damaged entry: never serve it
+            return compute(), "local"
+        return result, outcome
+
+
+def _decode(value: Any) -> ExperimentResult | None:
+    if value is None:
+        return None
+    try:
+        return result_from_dict(value)
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None

@@ -1,17 +1,17 @@
-"""A process-shared on-disk cache tier with single-flight dedup.
+"""The one on-disk cache tier: atomic publish plus single-flight dedup.
 
-``repro-hetero serve --workers N`` runs N independent processes behind
-one listening port.  Without coordination, N workers receiving the same
-expensive request at the same time would compute it N times — the exact
-waste the in-process coalescer eliminates for *one* event loop.  This
-module is the cross-process analogue, built on two primitives:
+Every on-disk cache stores through :class:`SharedCache`: experiment
+results (:class:`~repro.batch.cache.ResultCache`) and the cross-worker
+response-cache tier of ``serve --workers N``.  N processes receiving
+the same expensive request at once would otherwise compute it N times
+— the waste the in-process coalescer eliminates for *one* event loop.
+This module is the cross-process analogue, built on two primitives:
 
 **Atomic publish.**  Entries are JSON documents under one directory,
-content-addressed by the caller's key (the service reuses
-:func:`repro.batch.cache.cache_key` and the response-cache key, so all
-tiers agree on identity).  Writers publish via
-:func:`repro.util.fsio.atomic_write_text`; readers see a complete old
-document or a complete new one, never a torn write.
+content-addressed by the caller's key (``<experiment>-<cache_key>``
+for results, the response-cache key for rendered bodies).  Writers
+publish via :func:`repro.util.fsio.atomic_write_text`; readers see a
+complete old document or a complete new one, never a torn write.
 
 **Claim files (single flight).**  ``get_or_compute`` elects exactly one
 *leader* per key via ``O_CREAT | O_EXCL`` on a sidecar ``.claim`` file —
@@ -29,9 +29,9 @@ normal path computes exactly once — the property pinned by
 ``tests/properties/test_single_flight_properties.py``).
 
 Entries may carry an absolute expiry (the service's response-cache tier
-reuses its TTL); experiment results are published without one, matching
-the :class:`~repro.batch.cache.ResultCache` contract that a code change
-(version folded into the key) is what invalidates them.
+reuses its TTL); experiment results are published without one through
+:class:`~repro.batch.cache.ResultCache`, whose key folds in the package
+version — a code change is what invalidates them.
 """
 
 from __future__ import annotations
@@ -49,11 +49,13 @@ __all__ = ["SharedCache", "SingleFlightStats"]
 
 _SCHEMA_VERSION = 1
 
-#: ``get_or_compute`` outcome labels, in the order a request cascades:
+#: ``get_or_compute`` outcome labels, in the order a request cascades —
 #: published entry found (``hit``), claim won (``leader``), leader's
-#: publish awaited (``follower``), or computed without a shared tier /
-#: after an unpublishable leader (``local``).
-OUTCOMES = ("hit", "leader", "follower", "local")
+#: publish awaited (``follower``), or computed without a usable tier /
+#: after outwaiting a live claim (``local``) — and the
+#: :class:`SingleFlightStats` counter each one bumps.
+OUTCOMES = {"hit": "hits", "leader": "leads", "follower": "follows",
+            "local": "locals"}
 
 
 class SingleFlightStats:
@@ -116,13 +118,9 @@ class SharedCache:
 
         Expired and damaged entries degrade to misses (and are removed
         best-effort): this tier can lose entries, never corrupt them.
-        Tombstones (a leader that computed an unpublishable value) also
-        read as misses — :meth:`get_or_compute` inspects them itself.
         """
-        value = self._read_entry(key)
-        if value is None or value.get("tombstone"):
-            return None
-        return value["value"]
+        document = self._read_entry(key)
+        return None if document is None else document["value"]
 
     def get_with_expiry(self, key: str) -> tuple[Any, float | None] | None:
         """Like :meth:`get`, plus the entry's absolute expiry (epoch).
@@ -132,7 +130,7 @@ class SharedCache:
         copy inherits the remaining TTL, not a fresh one.
         """
         document = self._read_entry(key)
-        if document is None or document.get("tombstone"):
+        if document is None:
             return None
         return document["value"], document.get("expires")
 
@@ -151,14 +149,11 @@ class SharedCache:
         except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return None
 
-    def put(self, key: str, value: Any, *, ttl: float | None = None,
-            tombstone: bool = False) -> bool:
+    def put(self, key: str, value: Any, *, ttl: float | None = None) -> bool:
         """Atomically publish ``value``; False when it defies JSON/disk."""
         document = {"schema_version": _SCHEMA_VERSION, "key": key,
                     "expires": (time.time() + ttl) if ttl else None,
                     "value": value}
-        if tombstone:
-            document["tombstone"] = True
         try:
             text = json.dumps(document, separators=(",", ":"),
                               allow_nan=False)
@@ -173,17 +168,17 @@ class SharedCache:
 
     # -- the claim protocol --------------------------------------------
     def try_claim(self, key: str) -> str | None:
-        """Win the key's claim (→ a release token) or ``None`` if held."""
-        token = f"{os.getpid()}-{os.urandom(8).hex()}"
-        body = json.dumps({"pid": os.getpid(), "token": token,
-                           "time": time.time()})
+        """Win the key's claim (→ a release token) or ``None`` if held.
+
+        Raises ``OSError`` when the root cannot hold a claim at all;
+        only the exclusive create finding a claim file means "held".
+        """
+        token, body = _new_claim()
+        self.root.mkdir(parents=True, exist_ok=True)
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
             fd = os.open(self._claim_path(key),
                          os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
-            return None
-        except OSError:
             return None
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -233,9 +228,7 @@ class SharedCache:
         resolved by re-reading the claim — only the taker whose token
         survived is leader.
         """
-        token = f"{os.getpid()}-{os.urandom(8).hex()}"
-        body = json.dumps({"pid": os.getpid(), "token": token,
-                           "time": time.time()})
+        token, body = _new_claim()
         path = self._claim_path(key)
         try:
             atomic_write_text(path, body)
@@ -250,33 +243,29 @@ class SharedCache:
     # -- single flight -------------------------------------------------
     def get_or_compute(self, key: str, compute: Callable[[], Any], *,
                        ttl: float | None = None,
-                       wait_timeout: float = 600.0,
-                       publishable: Callable[[Any], bool] | None = None,
-                       ) -> tuple[Any, str]:
+                       wait_timeout: float = 600.0) -> tuple[Any, str]:
         """One value per key, however many processes ask at once.
 
         Returns ``(value, outcome)`` with ``outcome`` one of
         :data:`OUTCOMES`.  The leader's ``compute()`` exceptions
-        propagate to the leader only — its claim is released so a
-        follower can retry rather than deadlock.  When ``publishable``
-        rejects the computed value (e.g. an experiment that errored), a
-        short-lived tombstone is published so followers stop waiting
-        and compute locally.  A follower that outwaits ``wait_timeout``
-        also degrades to a local compute: the shared tier can only ever
+        propagate to the leader only — its claim is released, so each
+        waiting follower claims in turn and meets its own failure
+        rather than deadlocking.  A root that cannot hold a claim
+        computes at once, and a follower that outwaits
+        ``wait_timeout`` computes too: the shared tier can only ever
         *save* work, never wedge a request.
         """
-        start = time.monotonic()
-        poll = self.poll_interval
+        deadline = time.monotonic() + wait_timeout
+        poll, waited = self.poll_interval, False
         while True:
-            value = self._read_entry(key)
-            if value is not None:
-                if value.get("tombstone"):
-                    self.stats.locals += 1
-                    return compute(), "local"
-                self.stats.hits += 1
-                return value["value"], "hit"
-
-            token = self.try_claim(key)
+            entry = self._read_entry(key)
+            if entry is not None:
+                return self._tally(entry["value"],
+                                   "follower" if waited else "hit")
+            try:
+                token = self.try_claim(key)
+            except OSError:
+                return self._tally(compute(), "local")
             if token is None and self._claim_is_stale(key):
                 token = self._take_over(key)
             if token is not None:
@@ -285,38 +274,30 @@ class SharedCache:
                     # may have published and released between our entry
                     # read above and the claim acquisition, and leading
                     # now would compute a second time.
-                    entry = self._read_entry(key)
-                    if entry is not None and not entry.get("tombstone"):
-                        self.stats.hits += 1
-                        return entry["value"], "hit"
-                    result = self._lead(key, compute, ttl, publishable)
+                    if self._read_entry(key) is None:
+                        value = compute()
+                        self.put(key, value, ttl=ttl)
+                        return self._tally(value, "leader")
                 finally:
                     self.release_claim(key, token)
-                return result
+                continue  # published meanwhile: read it above
 
-            if time.monotonic() - start > wait_timeout:
-                self.stats.locals += 1
-                return compute(), "local"
+            if time.monotonic() > deadline:
+                return self._tally(compute(), "local")
             time.sleep(poll)
-            poll = min(poll * 1.5, 0.05)
-            entry = self._read_entry(key)
-            if entry is not None and not entry.get("tombstone"):
-                self.stats.follows += 1
-                return entry["value"], "follower"
+            poll, waited = min(poll * 1.5, 0.05), True
 
-    def _lead(self, key: str, compute: Callable[[], Any],
-              ttl: float | None,
-              publishable: Callable[[Any], bool] | None) -> tuple[Any, str]:
-        value = compute()
-        if publishable is not None and not publishable(value):
-            # Let waiting followers fail over to their own compute
-            # promptly instead of outwaiting the claim.
-            self.put(key, None, ttl=5.0, tombstone=True)
-            self.stats.locals += 1
-            return value, "local"
-        self.put(key, value, ttl=ttl)
-        self.stats.leads += 1
-        return value, "leader"
+    def _tally(self, value: Any, outcome: str) -> tuple[Any, str]:
+        name = OUTCOMES[outcome]
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        return value, outcome
+
+
+def _new_claim() -> tuple[str, str]:
+    """A fresh release token and the claim body naming this process."""
+    token = f"{os.getpid()}-{os.urandom(8).hex()}"
+    return token, json.dumps({"pid": os.getpid(), "token": token,
+                              "time": time.time()})
 
 
 def _safe(key: str) -> str:

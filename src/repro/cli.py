@@ -181,9 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for experiment dispatch "
                             "(default: 1)")
     serve.add_argument("--no-cache", action="store_true",
-                       help="skip the on-disk experiment result cache")
+                       help="skip the on-disk experiment result cache "
+                            "and with it cross-worker dispatch dedup")
     serve.add_argument("--cache-dir", default=None, metavar="PATH",
-                       help="experiment result-cache directory (default: "
+                       help="experiment result-cache directory, where "
+                            "dispatch dedup claims live too (default: "
                             "$REPRO_CACHE_DIR or the platform cache home)")
     serve.add_argument("--engine", choices=("auto", "events", "analytic"),
                        default=None,
@@ -222,14 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests after the listener closes; new "
                             "requests during the drain answer 503 + "
                             "Retry-After (default: 5)")
-    serve.add_argument("--shared-cache-dir", default=None, metavar="PATH",
-                       help="cross-worker shared cache directory (response "
-                            "cache tier + single-flight experiment dedup); "
-                            "default: a per-run temporary directory when "
-                            "--workers > 1, disabled otherwise")
-    serve.add_argument("--no-shared-cache", action="store_true",
-                       help="keep each worker's caches process-private "
-                            "(disables cross-worker single-flight dedup)")
     serve.add_argument("--socket-mode",
                        choices=("auto", "reuseport", "inherit"),
                        default="auto",
@@ -659,8 +653,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_latency=args.slo_latency, slo_objective=args.slo_objective,
         log_level=args.log_level,
         workers=args.workers, drain_timeout=args.drain_timeout,
-        shared_cache_dir=args.shared_cache_dir,
-        no_shared_cache=args.no_shared_cache,
         socket_mode=args.socket_mode, metrics_port=args.metrics_port)
 
     # Structured request logging: the access logger emits one bare JSON

@@ -273,6 +273,10 @@ def _cacheable_form(kind: str, payload: dict[str, Any]) -> dict[str, Any]:
 # the service
 # ---------------------------------------------------------------------------
 
+class _DispatchFailed(Exception):
+    """An experiment dispatch failed; carries ``run_batch``'s error text."""
+
+
 class _Response:
     """One handler's answer: status + rendered body + extras."""
 
@@ -329,14 +333,12 @@ class ReproService:
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             rate=self.config.rate, burst=self.config.burst)
-        self.shared = None
-        if (self.config.shared_cache_dir is not None
-                and not self.config.no_shared_cache):
+        shared = None
+        if self.config.shared_cache_dir is not None:
             from repro.batch.shared_cache import SharedCache
-            self.shared = SharedCache(self.config.shared_cache_dir)
+            shared = SharedCache(self.config.shared_cache_dir)
         self.cache = ResponseCache(self.config.cache_entries,
-                                   self.config.cache_ttl,
-                                   shared=self.shared)
+                                   self.config.cache_ttl, shared=shared)
         self.batcher = MicroBatcher(max_batch=self.config.max_batch,
                                     registry=self.registry,
                                     tracer=self.tracer)
@@ -754,9 +756,9 @@ class ReproService:
         from repro.io import result_to_dict
 
         trace_parent = _REQ_SPAN.get()
-        dispatch_key = cache_key(experiment_id, dict(kwargs))
+        ran: dict[str, Any] = {"shards": 0, "wall_seconds": 0.0}
 
-        def run() -> dict[str, Any]:
+        def run():
             # The executor thread has no ambient observation; install
             # one so the batch engine folds worker telemetry into this
             # service's registry.  The tracer rides along only when one
@@ -768,29 +770,32 @@ class ReproService:
                 registry=self.registry)
             with observe(observation):
                 batch = run_batch([experiment_id],
-                                  kwargs_by_id={experiment_id: dict(kwargs)},
-                                  jobs=self.config.jobs,
-                                  cache=self._result_cache,
+                                  kwargs_by_id={experiment_id: kwargs},
+                                  jobs=self.config.jobs, cache=None,
                                   trace_parent=trace_parent)
             item = batch.items[0]
-            return {"cached": item.cached, "shards": item.shards,
-                    "wall_seconds": item.wall_seconds, "error": item.error,
-                    "result": (result_to_dict(item.result)
-                               if item.error is None else None)}
+            ran.update(shards=item.shards, wall_seconds=item.wall_seconds)
+            if item.error is not None:
+                raise _DispatchFailed(item.error)
+            return item.result
 
-        def dispatch() -> tuple[dict[str, Any], str]:
-            # Single flight across workers: N processes receiving this
-            # exact dispatch concurrently compute it once; the rest get
-            # the leader's published document.  Error documents are
-            # never published — each worker sees its own failure.
-            if self.shared is None:
+        def dispatch():
+            # Single flight on the result entry: N workers receiving
+            # this exact dispatch concurrently compute it once; the rest
+            # read the leader's published result.  A failure reaches
+            # the leader only, and each follower then meets its own.
+            if self._result_cache is None:
                 return run(), "local"
-            return self.shared.get_or_compute(
-                "dispatch-" + dispatch_key, run,
-                publishable=lambda doc: doc["error"] is None)
+            return self._result_cache.get_or_compute(
+                experiment_id, kwargs, run)
 
-        item, outcome = await asyncio.get_running_loop().run_in_executor(
-            None, dispatch)
+        error = None
+        try:
+            result, outcome = await asyncio.get_running_loop(
+            ).run_in_executor(None, dispatch)
+        except _DispatchFailed as exc:
+            result, outcome, error = None, "local", str(exc)
+        cached = outcome in ("hit", "follower")
         self.registry.counter(
             "svc_dispatch_single_flight_total",
             "experiment dispatches by single-flight outcome "
@@ -800,26 +805,25 @@ class ReproService:
             self.store.record_run(
                 kind="experiment", label=experiment_id,
                 trace_id=self.tracer.trace_id,
-                cache_key=dispatch_key,
+                cache_key=cache_key(experiment_id, kwargs),
                 engine=self.config.engine,
-                status="error" if item["error"] is not None else "ok",
-                wall_seconds=item["wall_seconds"],
-                extra={"cached": item["cached"], "shards": item["shards"],
+                status="error" if error is not None else "ok",
+                wall_seconds=ran["wall_seconds"],
+                extra={"cached": cached, "shards": ran["shards"],
                        "jobs": self.config.jobs, "span_id": trace_parent,
-                       "dedup": outcome, "error": item["error"]})
-        if item["error"] is not None:
-            family = item["error"].split(":", 1)[0]
+                       "dedup": outcome, "error": error})
+        if error is not None:
+            family = error.split(":", 1)[0]
             status = 400 if family in (
                 "InvalidParameterError", "InvalidProfileError",
                 "FaultSpecError", "ProtocolError") else 500
-            return _error_response(status, item["error"],
-                                   experiment=experiment_id)
+            return _error_response(status, error, experiment=experiment_id)
         return _json_response(200, {
             "experiment": experiment_id,
-            "cached": item["cached"],
-            "wall_seconds": item["wall_seconds"],
+            "cached": cached,
+            "wall_seconds": ran["wall_seconds"],
             "dedup": outcome,
-            "result": item["result"],
+            "result": result_to_dict(result),
         })
 
     # -- stream endpoints (docs/STREAM.md) ------------------------------

@@ -53,6 +53,8 @@ class ServiceConfig:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk
         :class:`~repro.batch.cache.ResultCache` location / kill switch.
+        Dispatch single-flight dedup lives on that cache: with it on,
+        concurrent identical dispatches (in any worker) compute once.
     engine:
         Optional simulation engine forced for the whole process (and
         exported via ``$REPRO_SIM_ENGINE`` so dispatch workers inherit
@@ -88,12 +90,11 @@ class ServiceConfig:
         Seconds a stopping server waits for in-flight requests after it
         stops accepting; new requests during the drain answer ``503`` +
         ``Retry-After`` instead of a connection reset.
-    shared_cache_dir, no_shared_cache:
-        The cross-process cache tier (``repro.batch.shared_cache``)
-        shared by the workers' response caches and experiment dispatch.
-        Defaults to a directory under the result-cache root; multi-
-        worker serving creates it automatically.  ``no_shared_cache``
-        keeps every worker's caches process-private (dedup off).
+    shared_cache_dir:
+        The cross-worker tier of the response cache (a
+        :class:`~repro.batch.shared_cache.SharedCache`).  The supervisor
+        sets it to a directory in its temporary run dir, removed on
+        exit; user configs leave it at ``None`` (no shared tier).
     socket_mode:
         How workers share the listening port: ``"reuseport"`` (each
         worker binds its own ``SO_REUSEPORT`` socket — kernel load
@@ -135,7 +136,6 @@ class ServiceConfig:
     worker_index: int | None = None
     drain_timeout: float = 5.0
     shared_cache_dir: str | None = None
-    no_shared_cache: bool = False
     socket_mode: str = "auto"
     metrics_flush_path: str | None = None
     metrics_flush_interval: float = 0.5

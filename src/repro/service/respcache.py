@@ -11,12 +11,14 @@ encoding as well as evaluation.  The store is a plain ``OrderedDict``
 guarded by a lock: the server mutates it from the event-loop thread,
 but tests and the stats endpoint may peek from others.
 
-Under ``serve --workers N`` the cache optionally gains a second,
-process-shared tier (a :class:`~repro.batch.shared_cache.SharedCache`):
-a memory miss falls through to the shared directory, and a shared hit
-is promoted into memory with its *remaining* TTL, so one worker's
-rendered response serves every worker without a fresh compute — and
-without any worker extending the entry's lifetime.
+Under ``serve --workers N`` the cache gains a second, process-shared
+tier (a :class:`~repro.batch.shared_cache.SharedCache` in the
+supervisor's temporary run directory, removed on exit, so TTL'd bodies
+never accumulate on disk): a memory miss falls through to the shared
+directory, and a shared hit is promoted into memory with its
+*remaining* TTL, so one worker's rendered response serves every worker
+without a fresh compute — and without any worker extending the entry's
+lifetime.  A single-worker server has no shared tier.
 """
 
 from __future__ import annotations

@@ -35,9 +35,10 @@ ReproService` inside a forked worker:
   merges the dumps with the supervisor's own series
   (``svc_supervisor_restarts_total{worker}``,
   ``svc_supervisor_workers``) plus a ``GET /healthz`` fleet view.
-  Workers also share one on-disk cache tier
-  (:class:`~repro.batch.shared_cache.SharedCache`) so identical
-  requests landing on different workers compute once.
+  Workers share the on-disk result cache, so an experiment dispatched
+  to several workers at once computes once, and their response caches
+  share a :class:`~repro.batch.shared_cache.SharedCache` tier in the
+  supervisor's temporary run directory, removed on exit.
 """
 
 from __future__ import annotations
@@ -115,8 +116,7 @@ def worker_config(config: ServiceConfig, index: int, *,
         port=port if port is not None else config.port,
         rate=rate, max_inflight=inflight, burst=burst,
         metrics_flush_path=metrics_flush_path,
-        shared_cache_dir=(shared_cache_dir if shared_cache_dir is not None
-                          else config.shared_cache_dir))
+        shared_cache_dir=shared_cache_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,6 @@ class Supervisor:
         self._placeholder: socket.socket | None = None
         self._run_dir: str | None = None
         self._owns_run_dir = False
-        self._shared_dir: str | None = None
         self._metrics_httpd: Any = None
 
     # -- external control ----------------------------------------------
@@ -335,7 +334,7 @@ class Supervisor:
         cfg = worker_config(
             self.config, slot.index, port=self.port,
             metrics_flush_path=self._flush_path(slot.index),
-            shared_cache_dir=self._shared_dir)
+            shared_cache_dir=str(Path(self._run_dir) / "shared"))
         slot.process = self._ctx.Process(
             target=_worker_main, args=(cfg, self._listen_sock, send),
             name=f"repro-worker-{slot.index}", daemon=False)
@@ -382,12 +381,6 @@ class Supervisor:
         self._bind()
         self._run_dir = tempfile.mkdtemp(prefix="repro-supervisor-")
         self._owns_run_dir = True
-        if self.config.no_shared_cache:
-            self._shared_dir = None
-        elif self.config.shared_cache_dir is not None:
-            self._shared_dir = self.config.shared_cache_dir
-        else:
-            self._shared_dir = str(Path(self._run_dir) / "shared")
 
         if self.install_signals:
             for signum in (signal.SIGTERM, signal.SIGINT):

@@ -72,12 +72,16 @@ class WindowManager:
     # -- geometry ------------------------------------------------------
     def index_of(self, time: float) -> int:
         """The window index event time ``time`` falls in."""
-        return int(math.floor((time - self.origin) / self.size))
+        index = math.floor((time - self.origin) / self.size)
+        # The division can round across a window edge: settle the index
+        # against the bounds themselves, so membership is exact.
+        start, end = self.bounds(index)
+        return index + (time >= end) - (time < start)
 
     def bounds(self, index: int) -> tuple[float, float]:
-        """``[start, end)`` of window ``index``."""
-        start = self.origin + index * self.size
-        return start, start + self.size
+        """``[start, end)`` of window ``index``; windows tile exactly."""
+        return (self.origin + index * self.size,
+                self.origin + (index + 1) * self.size)
 
     @property
     def current_index(self) -> int | None:

@@ -1,18 +1,17 @@
-"""Crash-safe filesystem primitives shared by the on-disk caches.
+"""Crash-safe filesystem primitives shared by the on-disk artifacts.
 
-Every process-shared artifact in this codebase — result-cache entries,
-shared-cache documents, worker metrics dumps — is published the same
-way: write the complete document to a temporary file *in the target
-directory* and :func:`os.replace` it over the destination.  ``rename``
+Every process-shared artifact in this codebase — cache entries and
+claims (:class:`~repro.batch.shared_cache.SharedCache`), worker metrics
+dumps — is published the same way: write the complete document to a
+temporary file *in the target directory* and :func:`os.replace` it
+over the destination.  ``rename``
 within one filesystem is atomic on POSIX, so a reader can observe the
 old document or the new one but never an interleaving of the two, even
 when the writer is killed mid-write (the orphaned ``*.tmp`` file is
 garbage, not corruption).
 
-Centralising the pattern here is what gives the single-process caches a
-correct *cross-process* story for free: N workers publishing the same
-key race only on which complete document wins, which is harmless when
-the content is a pure function of the key.
+N workers publishing the same key race only on which complete document
+wins, which is harmless when the content is a pure function of the key.
 """
 
 from __future__ import annotations

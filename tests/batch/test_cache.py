@@ -99,7 +99,7 @@ class TestRoundTrip:
 
 
 class TestAtomicWrites:
-    """The shared tier may be off; single-process writes stay atomic."""
+    """Entries are published through the shared tier's atomic writes."""
 
     def test_put_leaves_no_temp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -148,12 +148,52 @@ class TestAtomicWrites:
                 except OSError:
                     continue  # entry replaced mid-stat; retry
                 document = json.loads(text)
-                assert document["result"]["title"] in titles
+                assert document["value"]["title"] in titles
                 reads += 1
         finally:
             stop.set()
             for t in threads:
                 t.join(timeout=10)
+
+
+class TestGetOrCompute:
+    def test_leader_then_hit_compute_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return _result(title="fresh")
+
+        first, outcome = cache.get_or_compute("table3", {"seed": 1}, compute)
+        assert (first.title, outcome) == ("fresh", "leader")
+        second, outcome = cache.get_or_compute("table3", {"seed": 1},
+                                               compute)
+        assert (second.title, outcome) == ("fresh", "hit")
+        assert calls == [1]
+        # One entry, readable through get() too: one store, one format.
+        assert len(list(tmp_path.glob("table3-*.json"))) == 1
+        assert cache.get("table3", {"seed": 1}).title == "fresh"
+
+    def test_shares_entries_with_put(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("table3", {}, _result(title="stored"))
+        got, outcome = cache.get_or_compute(
+            "table3", {}, lambda: _result(title="recomputed"))
+        assert (got.title, outcome) == ("stored", "hit")
+
+    def test_damaged_entry_recomputes(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store.put(cache._entry("table3", {}), {"not": "a result"})
+        got, outcome = cache.get_or_compute(
+            "table3", {}, lambda: _result(title="recomputed"))
+        assert (got.title, outcome) == ("recomputed", "local")
+
+    def test_entry_is_named_by_experiment_and_full_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("table3", {}, _result())
+        entry, = tmp_path.glob("table3-*.json")
+        assert entry.name == f"table3-{cache.key('table3', {})}.json"
 
 
 class TestDefaultDir:

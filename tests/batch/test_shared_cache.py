@@ -2,13 +2,20 @@
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.batch.shared_cache import SharedCache
 from repro.errors import InvalidParameterError
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestPublishedTier:
@@ -94,6 +101,12 @@ class TestClaims:
         cache.try_claim("k")  # our own pid, fresh
         assert cache._claim_is_stale("k") is False
 
+    def test_blocked_root_raises_instead_of_reading_as_held(self, tmp_path):
+        root = tmp_path / "blocked"
+        root.write_text("a file where the cache dir should go")
+        with pytest.raises(OSError):
+            SharedCache(root).try_claim("k")
+
     def test_old_claim_is_stale_even_if_unparseable(self, tmp_path):
         cache = SharedCache(tmp_path, stale_claim=0.05)
         path = cache._claim_path("k")
@@ -163,18 +176,42 @@ class TestGetOrCompute:
         value, outcome = cache.get_or_compute("k", lambda: "second-try")
         assert (value, outcome) == ("second-try", "leader")
 
-    def test_unpublishable_value_tombstones(self, tmp_path):
-        cache = SharedCache(tmp_path)
-        value, outcome = cache.get_or_compute(
-            "k", lambda: {"error": "boom"},
-            publishable=lambda v: v.get("error") is None)
-        assert outcome == "local"
-        assert value == {"error": "boom"}
-        # Followers see the tombstone and compute locally too.
-        value2, outcome2 = cache.get_or_compute(
-            "k", lambda: {"error": "again"},
-            publishable=lambda v: v.get("error") is None)
-        assert (value2["error"], outcome2) == ("again", "local")
+    def test_leader_error_reaches_the_leader_only(self, tmp_path):
+        leader_cache = SharedCache(tmp_path)
+        follower_cache = SharedCache(tmp_path, poll_interval=0.002)
+        gate = threading.Event()
+        started = threading.Event()
+        results = {}
+
+        def failing_compute():
+            started.set()
+            gate.wait(5.0)
+            raise RuntimeError("compute failed")
+
+        def leader():
+            try:
+                leader_cache.get_or_compute("k", failing_compute)
+            except RuntimeError as exc:
+                results["leader"] = exc
+
+        def follower():
+            results["follower"] = follower_cache.get_or_compute(
+                "k", lambda: "recomputed")
+
+        t_leader = threading.Thread(target=leader)
+        t_leader.start()
+        assert started.wait(5.0)  # leader holds the claim now
+        t_follower = threading.Thread(target=follower)
+        t_follower.start()
+        time.sleep(0.05)  # follower is polling against the claim
+        gate.set()
+        t_leader.join(10)
+        t_follower.join(10)
+        assert not t_leader.is_alive() and not t_follower.is_alive()
+        assert isinstance(results["leader"], RuntimeError)
+        # The released claim passes to the follower, which computes
+        # its own answer instead of inheriting the failure.
+        assert results["follower"] == ("recomputed", "leader")
 
     def test_crashed_claimant_is_taken_over(self, tmp_path):
         cache = SharedCache(tmp_path)
@@ -194,6 +231,17 @@ class TestGetOrCompute:
                                                wait_timeout=0.05)
         assert (value, outcome) == ("gave-up", "local")
 
+    def test_blocked_root_computes_at_once(self, tmp_path):
+        root = tmp_path / "blocked"
+        root.write_text("a file where the cache dir should go")
+        cache = SharedCache(root)
+        start = time.monotonic()
+        # Default wait_timeout: a root that cannot hold a claim must not
+        # be mistaken for a held claim and outwaited.
+        value, outcome = cache.get_or_compute("k", lambda: "v")
+        assert (value, outcome) == ("v", "local")
+        assert time.monotonic() - start < 0.5
+
     def test_stats_accumulate(self, tmp_path):
         cache = SharedCache(tmp_path)
         cache.get_or_compute("k", lambda: "v")
@@ -201,3 +249,77 @@ class TestGetOrCompute:
         stats = cache.stats.as_dict()
         assert stats["leads"] == 1
         assert stats["hits"] == 1
+
+
+def _child(code: str) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.Popen([sys.executable, "-c", code], env=env)
+
+
+def _wait_for(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "child never got there"
+        time.sleep(0.01)
+
+
+def _kill(child: subprocess.Popen) -> None:
+    os.kill(child.pid, signal.SIGKILL)
+    child.wait(10)  # reap it: a zombie still answers kill(pid, 0)
+
+
+class TestCrashConsistency:
+    """Real processes killed with SIGKILL mid-claim and mid-publish."""
+
+    def test_sigkilled_leader_is_taken_over(self, tmp_path):
+        child = _child(
+            "import time\n"
+            "from repro.batch.shared_cache import SharedCache\n"
+            f"SharedCache({str(tmp_path)!r}).get_or_compute(\n"
+            "    'k', lambda: time.sleep(3600))\n")
+        cache = SharedCache(tmp_path, poll_interval=0.002)
+        claim = cache._claim_path("k")
+
+        def child_holds_claim() -> bool:
+            try:
+                return json.loads(claim.read_text())["pid"] == child.pid
+            except (OSError, ValueError, KeyError):
+                return False
+
+        try:
+            _wait_for(child_holds_claim)
+        finally:
+            _kill(child)
+        start = time.monotonic()
+        value, outcome = cache.get_or_compute("k", lambda: "rescued",
+                                              wait_timeout=30.0)
+        assert time.monotonic() - start < 2.0
+        assert (value, outcome) == ("rescued", "leader")
+        assert cache.stats.takeovers == 1
+        # The taken-over value is published for everyone after.
+        assert SharedCache(tmp_path).get_or_compute(
+            "k", lambda: "again") == ("rescued", "hit")
+
+    def test_sigkill_mid_put_never_tears_an_entry(self, tmp_path):
+        size = 1 << 20
+        child = _child(
+            "from repro.batch.shared_cache import SharedCache\n"
+            f"cache = SharedCache({str(tmp_path)!r})\n"
+            "n = 0\n"
+            "while True:\n"
+            f"    cache.put('k', {{'n': n, 'blob': str(n % 10) * {size}}})\n"
+            "    n += 1\n")
+        cache = SharedCache(tmp_path)
+        try:
+            # Several complete publishes, then kill it mid-stream.
+            _wait_for(lambda: (cache.get("k") or {"n": 0})["n"] >= 3)
+        finally:
+            _kill(child)
+        value = cache.get("k")
+        assert value is not None
+        assert value["blob"] == str(value["n"] % 10) * size
+        # Whatever the kill orphaned is garbage beside the entry: no
+        # reader ever parses it, and the entry is still whole.
+        for orphan in tmp_path.glob("*.tmp"):
+            assert orphan.name.startswith(cache._entry_path("k").name)
+        assert cache.get("k") == value

@@ -128,6 +128,22 @@ class TestOperationalEndpoints:
         assert second["cached"] is True
         assert first["result"]["rows"] == second["result"]["rows"]
 
+    def test_repeat_dispatch_is_a_cached_hit_of_one_entry(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        config = ServiceConfig(port=0, no_store=True,
+                               result_cache_dir=str(cache_dir))
+        with ServiceThread(config, registry=MetricsRegistry()) as thread:
+            with thread.client() as client:
+                first = client.run_experiment("sec4-example")
+                second = client.run_experiment("sec4-example")
+        assert (first["dedup"], first["cached"]) == ("leader", False)
+        assert second["dedup"] == "hit"
+        assert second["cached"] is True
+        assert second["result"] == first["result"]
+        # One store, one write: the result entry and nothing else.
+        assert len(list(cache_dir.glob("sec4-example-*.json"))) == 1
+        assert list(cache_dir.glob("dispatch-*")) == []
+
     def test_unknown_experiment_404(self, server):
         with server.client() as client:
             with pytest.raises(ServiceError) as excinfo:

@@ -120,7 +120,7 @@ class TestStreamUnderFleet:
     def test_multi_worker_refuses_with_409(self, tmp_path, method, path,
                                            body):
         config = ServiceConfig(port=0, workers=2, worker_index=0,
-                               no_store=True, no_shared_cache=True,
+                               no_store=True,
                                result_cache_dir=str(tmp_path / "cache"))
         with ServiceThread(config, registry=MetricsRegistry()) as thread:
             with thread.client() as client:

@@ -197,16 +197,18 @@ class TestAggregation:
 
 
 class TestSingleFlightEndToEnd:
-    def test_duplicate_dispatch_across_workers_computes_once(self):
+    def test_duplicate_dispatch_across_workers_computes_once(self, tmp_path):
         """The acceptance criterion: K dispatches, 2 workers, 1 compute.
 
-        Each connection gets its own worker (kernel balancing pins a
+        Dedup lives on the result cache, which the workers share.  Each
+        connection gets its own worker (kernel balancing pins a
         connection to one acceptor), so concurrent clients genuinely
         exercise the cross-process claim protocol.  Exactly one
         response may be the leader; every response must be identical
         modulo the dedup/cached/wall_seconds bookkeeping fields.
         """
-        config = _config(workers=2, no_result_cache=True)
+        config = _config(workers=2,
+                         result_cache_dir=str(tmp_path / "cache"))
         with _RunningSupervisor(config) as running:
             results = [None] * 4
             barrier = threading.Barrier(len(results))
