@@ -9,8 +9,8 @@ The subsystem behind ``repro-hetero run all --jobs N``:
   identical to ``--jobs 1``.
 * :mod:`repro.batch.cache` — the experiment codec for the result
   cache, keyed by ``(experiment_id, kwargs, seed, package version)`` so
-  repeated ``run all`` / ``report`` invocations skip unchanged work and
-  ``serve`` dispatches single-flight on the same entry.
+  repeated or concurrent ``run all`` / ``report`` invocations and
+  ``serve`` dispatches compute each entry once.
 * :mod:`repro.batch.shared_cache` — the one on-disk tier underneath:
   atomic publishes plus claim-file single-flight dedup, so processes
   sharing a directory compute each answer once.

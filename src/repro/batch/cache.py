@@ -10,7 +10,9 @@ in so a code change invalidates every entry at once.
 :class:`ResultCache` is only the experiment codec over a
 :class:`~repro.batch.shared_cache.SharedCache` (no expiry): entry
 ``<experiment_id>-<cache_key>`` holds a :func:`repro.io.result_to_dict`
-payload.  A hit rebuilds the result with
+payload, stored by the single-flight loop ``run_batch`` calls
+(:meth:`ResultCache.get_or_compute_many`), so concurrent runs sharing a
+directory compute each entry once.  A hit rebuilds the result with
 :func:`repro.io.result_from_dict`, whose re-serialisation is
 byte-identical to the stored payload — so warmed ``run all --json`` /
 ``report`` invocations are bit-reproducible.  Anything unreadable,
@@ -24,7 +26,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 from repro import __version__
 from repro.batch.shared_cache import SharedCache
@@ -97,35 +99,54 @@ class ResultCache:
         Results whose metadata defies JSON are simply not cached —
         callers lose the speedup, never the result.
         """
-        try:
-            value = result_to_dict(result)
-        except (TypeError, ValueError):
-            return False
-        return self.store.put(self._entry(experiment_id, kwargs), value)
+        value = _encode(result)
+        return value is not None and self.store.put(
+            self._entry(experiment_id, kwargs), value)
 
-    def get_or_compute(self, experiment_id: str, kwargs: dict[str, Any],
-                       compute: Callable[[], ExperimentResult]
-                       ) -> tuple[ExperimentResult, str]:
-        """``(result, outcome)``, computed at most once across processes.
+    def get_or_compute_many(
+            self, kwargs_by_id: Mapping[str, dict[str, Any]],
+            compute: Callable[[list[str]], Mapping[str, ExperimentResult]]
+            ) -> dict[str, tuple[ExperimentResult | None, str]]:
+        """``{experiment_id: (result, outcome)}``, each computed once.
 
-        Single flight on the result entry (see
-        :meth:`SharedCache.get_or_compute`); ``compute()`` exceptions
-        reach this caller only when it led.
+        :meth:`SharedCache.get_or_compute_many` on the result entries:
+        ``compute(ids)`` maps the ids this caller leads to results; an
+        id it leaves out failed and comes back ``(None, "local")``.  A
+        damaged entry is never served: it is recomputed, unstored.
         """
-        fresh: list[ExperimentResult] = []
+        ids = {self._entry(experiment_id, kwargs): experiment_id
+               for experiment_id, kwargs in kwargs_by_id.items()}
+        fresh: dict[str, ExperimentResult] = {}
 
-        def encode() -> dict[str, Any]:
-            fresh.append(compute())
-            return result_to_dict(fresh[0])
+        def encode(entries: list[str]) -> dict[str, Any]:
+            fresh.update(compute([ids[entry] for entry in entries]))
+            encoded = {entry: _encode(fresh[ids[entry]])
+                       for entry in entries if ids[entry] in fresh}
+            return {entry: value for entry, value in encoded.items()
+                    if value is not None}
 
-        value, outcome = self.store.get_or_compute(
-            self._entry(experiment_id, kwargs), encode)
-        if fresh:
-            return fresh[0], outcome
-        result = _decode(value)
-        if result is None:  # a damaged entry: never serve it
-            return compute(), "local"
-        return result, outcome
+        out: dict[str, tuple[ExperimentResult | None, str]] = {}
+        damaged = []
+        for entry, (value, outcome) in self.store.get_or_compute_many(
+                ids, encode).items():
+            experiment_id = ids[entry]
+            result = (fresh[experiment_id] if experiment_id in fresh
+                      else _decode(value))
+            out[experiment_id] = (result, outcome)
+            if result is None and outcome in ("hit", "follower"):
+                damaged.append(experiment_id)
+        if damaged:
+            fresh.update(compute(damaged))
+            out.update((experiment_id, (fresh.get(experiment_id), "local"))
+                       for experiment_id in damaged)
+        return out
+
+
+def _encode(result: ExperimentResult) -> dict[str, Any] | None:
+    try:
+        return result_to_dict(result)
+    except (TypeError, ValueError):
+        return None
 
 
 def _decode(value: Any) -> ExperimentResult | None:

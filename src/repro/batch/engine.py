@@ -163,14 +163,22 @@ def _execute_task(task: _Task) -> _TaskOutput:
 
 @dataclass
 class BatchItem:
-    """Outcome of one experiment within a batch."""
+    """Outcome of one experiment within a batch.
+
+    ``outcome``: ``hit``/``follower`` (read from the cache), ``leader``
+    (computed and stored) or ``local`` (computed unstored: no cache, or
+    it failed)."""
 
     experiment_id: str
     result: ExperimentResult | None = None
     error: str | None = None
-    cached: bool = False
+    outcome: str = "local"
     shards: int = 0
     wall_seconds: float = 0.0
+
+    @property
+    def cached(self) -> bool:
+        return self.outcome in ("hit", "follower")
 
 
 @dataclass
@@ -180,8 +188,6 @@ class BatchReport:
     items: list[BatchItem] = field(default_factory=list)
     jobs: int = 1
     wall_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
 
     @property
     def results(self) -> list[ExperimentResult]:
@@ -190,6 +196,14 @@ class BatchReport:
     @property
     def failures(self) -> list[BatchItem]:
         return [item for item in self.items if item.error is not None]
+
+    @property
+    def cache_hits(self) -> int:
+        return sum(item.cached for item in self.items)
+
+    @property
+    def cache_misses(self) -> int:
+        return len(self.items) - self.cache_hits
 
 
 def _pool_context() -> multiprocessing.context.BaseContext | None:
@@ -223,8 +237,10 @@ def run_batch(experiment_ids: Sequence[str], *,
         compatibility path and the honest baseline for speedup claims.
         The hardening knobs below apply to the pool path only.
     cache:
-        Optional :class:`ResultCache`; hits skip execution entirely and
-        fresh results are stored back.
+        Optional :class:`ResultCache`: every entry goes through its
+        single-flight loop, so hits are read, the entries this batch
+        claims run in one go and are stored, and entries other processes
+        hold are awaited — concurrent batches split the work.
     task_timeout:
         Wall-clock seconds a single task may run before it is declared
         hung.  A hung worker cannot be cancelled, so the whole pool is
@@ -268,81 +284,64 @@ def run_batch(experiment_ids: Sequence[str], *,
     if retry_backoff < 0:
         raise InvalidParameterError(
             f"retry_backoff must be >= 0, got {retry_backoff!r}")
-    kwargs_by_id = dict(kwargs_by_id or {})
+    kwargs_by_id = {experiment_id: (kwargs_by_id or {}).get(experiment_id, {})
+                    for experiment_id in experiment_ids}
     ctx = current_observation()
     registry = (ctx.registry if ctx is not None and ctx.registry is not None
                 else default_registry())
     tracer = ctx.tracer if ctx is not None else None
 
+    report = BatchReport(jobs=jobs)
+    ran: dict[str, BatchItem] = {}
+
+    def execute(pending: list[str]) -> dict[str, ExperimentResult]:
+        """Run the experiments this batch computes; results by id."""
+        for experiment_id in pending:
+            ran[experiment_id] = BatchItem(experiment_id)
+        if jobs == 1:
+            for experiment_id in pending:
+                item = ran[experiment_id]
+                start = time.perf_counter()
+                try:
+                    item.result = run_experiment(experiment_id,
+                                                 **kwargs_by_id[experiment_id])
+                except Exception as exc:
+                    item.error = f"{type(exc).__name__}: {exc}"
+                item.wall_seconds = time.perf_counter() - start
+        elif pending:
+            _run_pool(pending, kwargs_by_id, jobs, ran, registry, tracer,
+                      task_timeout=task_timeout, retries=retries,
+                      retry_backoff=retry_backoff,
+                      max_pool_respawns=max_pool_respawns)
+        return {experiment_id: ran[experiment_id].result
+                for experiment_id in pending
+                if ran[experiment_id].result is not None}
+
+    batch_start = time.perf_counter()
     with ExitStack() as stack:
         if tracer is not None:
             if trace_parent is not None:
                 stack.enter_context(tracer.attach(trace_parent))
             stack.enter_context(tracer.span(
                 "batch:run", jobs=jobs, experiments=len(experiment_ids)))
-        return _run_batch_body(experiment_ids, kwargs_by_id, registry, tracer,
-                               jobs=jobs, cache=cache,
-                               task_timeout=task_timeout, retries=retries,
-                               retry_backoff=retry_backoff,
-                               max_pool_respawns=max_pool_respawns)
-
-
-def _run_batch_body(experiment_ids: Sequence[str],
-                    kwargs_by_id: dict[str, dict[str, Any]],
-                    registry: MetricsRegistry, tracer: Tracer | None, *,
-                    jobs: int, cache: ResultCache | None,
-                    task_timeout: float | None, retries: int,
-                    retry_backoff: float,
-                    max_pool_respawns: int) -> BatchReport:
-    """The batch loop proper, run inside the ``batch:run`` span."""
-    report = BatchReport(jobs=jobs)
-    batch_start = time.perf_counter()
-    items: dict[str, BatchItem] = {}
-    pending: list[str] = []
+        if cache is None:
+            results = execute(list(kwargs_by_id))
+            got = {experiment_id: (results.get(experiment_id), "local")
+                   for experiment_id in kwargs_by_id}
+        else:
+            got = cache.get_or_compute_many(kwargs_by_id, execute)
     for experiment_id in experiment_ids:
-        item = BatchItem(experiment_id=experiment_id)
-        items[experiment_id] = item
+        result, outcome = got[experiment_id]
+        item = replace(ran.get(experiment_id, BatchItem(experiment_id)),
+                       result=result, outcome=outcome)
         report.items.append(item)
-        kwargs = kwargs_by_id.get(experiment_id, {})
-        cached = cache.get(experiment_id, kwargs) if cache is not None else None
-        if cached is not None:
-            item.result = cached
-            item.cached = True
-            report.cache_hits += 1
-            registry.counter("batch_cache_hits_total",
-                             "batch results served from the on-disk cache"
-                             ).inc(experiment=experiment_id)
-            continue
         if cache is not None:
-            report.cache_misses += 1
-            registry.counter("batch_cache_misses_total",
-                             "batch results not found in the on-disk cache"
-                             ).inc(experiment=experiment_id)
-        pending.append(experiment_id)
-
-    if jobs == 1:
-        for experiment_id in pending:
-            item = items[experiment_id]
-            start = time.perf_counter()
-            try:
-                item.result = run_experiment(experiment_id,
-                                             **kwargs_by_id.get(experiment_id, {}))
-            except Exception as exc:
-                item.error = f"{type(exc).__name__}: {exc}"
-            item.wall_seconds = time.perf_counter() - start
-    elif pending:
-        _run_pool(pending, kwargs_by_id, jobs, items, registry, tracer,
-                  task_timeout=task_timeout, retries=retries,
-                  retry_backoff=retry_backoff,
-                  max_pool_respawns=max_pool_respawns)
-
-    if cache is not None:
-        for experiment_id in pending:
-            item = items[experiment_id]
-            if item.result is not None:
-                cache.put(experiment_id, kwargs_by_id.get(experiment_id, {}),
-                          item.result)
-
+            registry.counter(
+                "batch_cache_hits_total" if item.cached
+                else "batch_cache_misses_total",
+                "batch results served from the on-disk cache" if item.cached
+                else "batch results not found in the on-disk cache"
+            ).inc(experiment=experiment_id)
     report.wall_seconds = time.perf_counter() - batch_start
     registry.counter("batch_runs_total", "batch invocations").inc()
     registry.timer("batch_seconds", "wall-clock duration of batch runs"
@@ -509,7 +508,7 @@ def _run_pool(pending: Sequence[str], kwargs_by_id: Mapping[str, dict],
               task_timeout: float | None = None, retries: int = 1,
               retry_backoff: float = 0.05,
               max_pool_respawns: int = 2) -> None:
-    """Execute the cache-missed experiments on a (hardened) process pool."""
+    """Execute the experiments this batch computes on a (hardened) pool."""
     capture = tracer is not None
     # Captured inside the ambient ``batch:run`` span, so worker roots
     # parent onto it and worker clocks share the session epoch.

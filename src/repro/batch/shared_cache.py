@@ -13,19 +13,18 @@ for results, the response-cache key for rendered bodies).  Writers
 publish via :func:`repro.util.fsio.atomic_write_text`; readers see a
 complete old document or a complete new one, never a torn write.
 
-**Claim files (single flight).**  ``get_or_compute`` elects exactly one
-*leader* per key via ``O_CREAT | O_EXCL`` on a sidecar ``.claim`` file —
-the one atomic test-and-set the filesystem gives us.  The leader
-computes and publishes; every *follower* polls for the published entry
-and returns the same bytes without computing.  A claim names its
-holder's pid and birth time, so a crashed leader cannot deadlock its
-followers: a claim whose process is gone (or whose age exceeds
-``stale_claim``) is *taken over* — the follower atomically replaces the
-claim with its own and promotes itself to leader.  Takeover is
-last-writer-wins; in the pathological window where two followers take
-over simultaneously both may compute, which is safe (publishes are
-atomic and the value is a pure function of the key) and bounded (the
-normal path computes exactly once — the property pinned by
+**Claim files (single flight).**  ``get_or_compute_many`` elects one
+*leader* per key via ``O_CREAT | O_EXCL`` on a sidecar ``.claim`` file
+— the one atomic test-and-set the filesystem gives us.  A caller leads
+every missing key it can claim, computing them in one call, and is a
+*follower* for the rest: it polls for their published entries and
+returns the same bytes without computing.  A claim names its holder's
+pid and birth time, so a crashed leader cannot deadlock its followers:
+a claim whose process is gone (or whose age exceeds ``stale_claim``) is
+*taken over* — atomically replaced, last writer wins.  In the window
+where two followers take over at once both may compute, which is safe
+(publishes are atomic and the value is a pure function of the key) and
+bounded (the normal path computes exactly once — the property pinned by
 ``tests/properties/test_single_flight_properties.py``).
 
 Entries may carry an absolute expiry (the service's response-cache tier
@@ -40,7 +39,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import InvalidParameterError
 from repro.util.fsio import atomic_write_text
@@ -49,10 +48,11 @@ __all__ = ["SharedCache", "SingleFlightStats"]
 
 _SCHEMA_VERSION = 1
 
-#: ``get_or_compute`` outcome labels, in the order a request cascades —
+#: Single-flight outcome labels, in the order a request cascades —
 #: published entry found (``hit``), claim won (``leader``), leader's
 #: publish awaited (``follower``), or computed without a usable tier /
-#: after outwaiting a live claim (``local``) — and the
+#: after outwaiting a live claim / failed and left unpublished
+#: (``local``) — and the
 #: :class:`SingleFlightStats` counter each one bumps.
 OUTCOMES = {"hit": "hits", "leader": "leads", "follower": "follows",
             "local": "locals"}
@@ -85,9 +85,13 @@ class SharedCache:
         Directory holding ``<key>.json`` entries and ``<key>.claim``
         sidecars; created on first write.
     stale_claim:
-        Seconds after which a claim whose holder cannot be confirmed
-        alive is considered abandoned and may be taken over.  Claims of
-        *dead* local processes are taken over immediately.
+        Seconds after which any claim is considered abandoned and may be
+        taken over, even one whose holder is still alive.  Claims of
+        *dead* local processes are taken over immediately.  A batch's
+        claims age from the moment they are taken, so another process
+        may recompute part of a batch that runs longer than this; that
+        duplicate work is bounded and safe (publishes are atomic and
+        the value is a pure function of the key).
     poll_interval:
         Follower poll cadence while awaiting a leader's publish.
     """
@@ -242,50 +246,72 @@ class SharedCache:
 
     # -- single flight -------------------------------------------------
     def get_or_compute(self, key: str, compute: Callable[[], Any], *,
-                       ttl: float | None = None,
                        wait_timeout: float = 600.0) -> tuple[Any, str]:
-        """One value per key, however many processes ask at once.
+        """``(value, outcome)``: the one-key :meth:`get_or_compute_many`."""
+        return self.get_or_compute_many([key], lambda _: {key: compute()},
+                                        wait_timeout=wait_timeout)[key]
 
-        Returns ``(value, outcome)`` with ``outcome`` one of
-        :data:`OUTCOMES`.  The leader's ``compute()`` exceptions
-        propagate to the leader only — its claim is released, so each
-        waiting follower claims in turn and meets its own failure
-        rather than deadlocking.  A root that cannot hold a claim
-        computes at once, and a follower that outwaits
-        ``wait_timeout`` computes too: the shared tier can only ever
-        *save* work, never wedge a request.
+    def get_or_compute_many(
+            self, keys: Iterable[str],
+            compute: Callable[[list[str]], Mapping[str, Any]], *,
+            wait_timeout: float = 600.0) -> dict[str, tuple[Any, str]]:
+        """``{key: (value, outcome)}``, each key computed once anywhere.
+
+        Each round reads the published keys, claims the missing ones it
+        can, calls ``compute(claimed)`` once, publishes what it returns
+        and releases the claims, then polls for keys others hold.  A key
+        ``compute`` leaves out failed: unpublished, it reads ``(None,
+        "local")`` and a waiting process claims it next.  A root that
+        cannot hold claims, or claims held past ``wait_timeout``, mean
+        computing here unpublished: never wedge a caller.
         """
+        pending, results = list(dict.fromkeys(keys)), {}
         deadline = time.monotonic() + wait_timeout
         poll, waited = self.poll_interval, False
-        while True:
-            entry = self._read_entry(key)
-            if entry is not None:
-                return self._tally(entry["value"],
-                                   "follower" if waited else "hit")
-            try:
-                token = self.try_claim(key)
-            except OSError:
-                return self._tally(compute(), "local")
-            if token is None and self._claim_is_stale(key):
-                token = self._take_over(key)
-            if token is not None:
-                try:
+        while pending:
+            expired = time.monotonic() > deadline
+            claimed: dict[str, str] = {}  # key -> claim token
+            local, held = [], []
+            for key in pending:
+                entry = self._read_entry(key)
+                if entry is None:
+                    try:
+                        token = self.try_claim(key)
+                    except OSError:
+                        local.append(key)
+                        continue
+                    if token is None and self._claim_is_stale(key):
+                        token = self._take_over(key)
+                    if token is None:
+                        (local if expired else held).append(key)
+                        continue
                     # Double-check under the claim: the previous leader
-                    # may have published and released between our entry
-                    # read above and the claim acquisition, and leading
-                    # now would compute a second time.
-                    if self._read_entry(key) is None:
-                        value = compute()
-                        self.put(key, value, ttl=ttl)
-                        return self._tally(value, "leader")
-                finally:
+                    # may have published and released since our read.
+                    entry = self._read_entry(key)
+                    if entry is None:
+                        claimed[key] = token
+                        continue
                     self.release_claim(key, token)
-                continue  # published meanwhile: read it above
-
-            if time.monotonic() > deadline:
-                return self._tally(compute(), "local")
-            time.sleep(poll)
-            poll, waited = min(poll * 1.5, 0.05), True
+                results[key] = self._tally(entry["value"],
+                                           "follower" if waited else "hit")
+            if claimed or local:
+                try:
+                    values = compute([*claimed, *local])
+                    for key in claimed:
+                        if key in values:
+                            self.put(key, values[key])
+                finally:
+                    for key, token in claimed.items():
+                        self.release_claim(key, token)
+                for key in [*claimed, *local]:
+                    results[key] = self._tally(values.get(key), (
+                        "leader" if key in claimed and key in values
+                        else "local"))
+            pending = held
+            if pending:
+                time.sleep(poll)
+                poll, waited = min(poll * 1.5, 0.05), True
+        return results
 
     def _tally(self, value: Any, outcome: str) -> tuple[Any, str]:
         name = OUTCOMES[outcome]

@@ -62,9 +62,10 @@ def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for batch execution "
                              "(default: 1 = in-process sequential)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="always recompute; skip the on-disk result cache")
+                        help="run all/report: always recompute, skipping "
+                             "the result cache (run <id> never uses it)")
     parser.add_argument("--cache-dir", default=None, metavar="PATH",
-                        help="result-cache directory (default: "
+                        help="run all/report result-cache directory (default: "
                              "$REPRO_CACHE_DIR or the platform cache home)")
     parser.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",

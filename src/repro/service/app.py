@@ -273,10 +273,6 @@ def _cacheable_form(kind: str, payload: dict[str, Any]) -> dict[str, Any]:
 # the service
 # ---------------------------------------------------------------------------
 
-class _DispatchFailed(Exception):
-    """An experiment dispatch failed; carries ``run_batch``'s error text."""
-
-
 class _Response:
     """One handler's answer: status + rendered body + extras."""
 
@@ -756,9 +752,8 @@ class ReproService:
         from repro.io import result_to_dict
 
         trace_parent = _REQ_SPAN.get()
-        ran: dict[str, Any] = {"shards": 0, "wall_seconds": 0.0}
 
-        def run():
+        def dispatch():
             # The executor thread has no ambient observation; install
             # one so the batch engine folds worker telemetry into this
             # service's registry.  The tracer rides along only when one
@@ -769,38 +764,20 @@ class ReproService:
                 tracer=self.tracer if self._external_tracer else None,
                 registry=self.registry)
             with observe(observation):
-                batch = run_batch([experiment_id],
-                                  kwargs_by_id={experiment_id: kwargs},
-                                  jobs=self.config.jobs, cache=None,
-                                  trace_parent=trace_parent)
-            item = batch.items[0]
-            ran.update(shards=item.shards, wall_seconds=item.wall_seconds)
-            if item.error is not None:
-                raise _DispatchFailed(item.error)
-            return item.result
+                return run_batch([experiment_id],
+                                 kwargs_by_id={experiment_id: kwargs},
+                                 jobs=self.config.jobs,
+                                 cache=self._result_cache,
+                                 trace_parent=trace_parent).items[0]
 
-        def dispatch():
-            # Single flight on the result entry: N workers receiving
-            # this exact dispatch concurrently compute it once; the rest
-            # read the leader's published result.  A failure reaches
-            # the leader only, and each follower then meets its own.
-            if self._result_cache is None:
-                return run(), "local"
-            return self._result_cache.get_or_compute(
-                experiment_id, kwargs, run)
-
-        error = None
-        try:
-            result, outcome = await asyncio.get_running_loop(
-            ).run_in_executor(None, dispatch)
-        except _DispatchFailed as exc:
-            result, outcome, error = None, "local", str(exc)
-        cached = outcome in ("hit", "follower")
+        item = await asyncio.get_running_loop().run_in_executor(None,
+                                                                dispatch)
+        error = item.error
         self.registry.counter(
             "svc_dispatch_single_flight_total",
             "experiment dispatches by single-flight outcome "
             "(leader computed / follower awaited / hit / local)"
-        ).inc(experiment=experiment_id, outcome=outcome)
+        ).inc(experiment=experiment_id, outcome=item.outcome)
         if self.store is not None:
             self.store.record_run(
                 kind="experiment", label=experiment_id,
@@ -808,10 +785,10 @@ class ReproService:
                 cache_key=cache_key(experiment_id, kwargs),
                 engine=self.config.engine,
                 status="error" if error is not None else "ok",
-                wall_seconds=ran["wall_seconds"],
-                extra={"cached": cached, "shards": ran["shards"],
+                wall_seconds=item.wall_seconds,
+                extra={"cached": item.cached, "shards": item.shards,
                        "jobs": self.config.jobs, "span_id": trace_parent,
-                       "dedup": outcome, "error": error})
+                       "dedup": item.outcome, "error": error})
         if error is not None:
             family = error.split(":", 1)[0]
             status = 400 if family in (
@@ -820,10 +797,10 @@ class ReproService:
             return _error_response(status, error, experiment=experiment_id)
         return _json_response(200, {
             "experiment": experiment_id,
-            "cached": cached,
-            "wall_seconds": ran["wall_seconds"],
-            "dedup": outcome,
-            "result": result_to_dict(result),
+            "cached": item.cached,
+            "wall_seconds": item.wall_seconds,
+            "dedup": item.outcome,
+            "result": result_to_dict(item.result),
         })
 
     # -- stream endpoints (docs/STREAM.md) ------------------------------

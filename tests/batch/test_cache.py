@@ -161,16 +161,17 @@ class TestGetOrCompute:
         cache = ResultCache(tmp_path)
         calls = []
 
-        def compute():
-            calls.append(1)
-            return _result(title="fresh")
+        def compute(ids):
+            calls.append(ids)
+            return {"table3": _result(title="fresh")}
 
-        first, outcome = cache.get_or_compute("table3", {"seed": 1}, compute)
+        got = cache.get_or_compute_many({"table3": {"seed": 1}}, compute)
+        first, outcome = got["table3"]
         assert (first.title, outcome) == ("fresh", "leader")
-        second, outcome = cache.get_or_compute("table3", {"seed": 1},
-                                               compute)
+        got = cache.get_or_compute_many({"table3": {"seed": 1}}, compute)
+        second, outcome = got["table3"]
         assert (second.title, outcome) == ("fresh", "hit")
-        assert calls == [1]
+        assert calls == [["table3"]]
         # One entry, readable through get() too: one store, one format.
         assert len(list(tmp_path.glob("table3-*.json"))) == 1
         assert cache.get("table3", {"seed": 1}).title == "fresh"
@@ -178,16 +179,26 @@ class TestGetOrCompute:
     def test_shares_entries_with_put(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("table3", {}, _result(title="stored"))
-        got, outcome = cache.get_or_compute(
-            "table3", {}, lambda: _result(title="recomputed"))
-        assert (got.title, outcome) == ("stored", "hit")
+        got = cache.get_or_compute_many(
+            {"table3": {}, "table4": {}},
+            lambda ids: {i: _result(experiment_id=i, title="recomputed")
+                         for i in ids})
+        assert [(r.title, o) for r, o in got.values()] == [
+            ("stored", "hit"), ("recomputed", "leader")]
 
     def test_damaged_entry_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store.put(cache._entry("table3", {}), {"not": "a result"})
-        got, outcome = cache.get_or_compute(
-            "table3", {}, lambda: _result(title="recomputed"))
-        assert (got.title, outcome) == ("recomputed", "local")
+        got = cache.get_or_compute_many(
+            {"table3": {}}, lambda ids: {"table3": _result(title="recomputed")})
+        result, outcome = got["table3"]
+        assert (result.title, outcome) == ("recomputed", "local")
+
+    def test_failed_id_is_not_stored(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        got = cache.get_or_compute_many({"table3": {}}, lambda ids: {})
+        assert got == {"table3": (None, "local")}
+        assert list(tmp_path.iterdir()) == []  # no entry, claim released
 
     def test_entry_is_named_by_experiment_and_full_key(self, tmp_path):
         cache = ResultCache(tmp_path)

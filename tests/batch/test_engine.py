@@ -1,6 +1,15 @@
 """Unit tests for the batch execution engine (repro.batch.engine)."""
 
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.batch import ResultCache, run_batch
 from repro.errors import InvalidParameterError
@@ -11,6 +20,7 @@ from repro.obs import MetricsRegistry, Observation, Tracer, observe
 #: table4) and sharded (majorization).
 _FAST_IDS = ["table3", "table4", "majorization"]
 _FAST_KWARGS = {"majorization": {"trials_per_size": 30, "seed": 5}}
+_SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
 class TestSequential:
@@ -101,6 +111,40 @@ class TestCacheIntegration:
         cache = ResultCache(tmp_path)
         run_batch(["boom"], jobs=1, cache=cache)
         assert list(tmp_path.glob("*.json")) == []
+        assert list(tmp_path.glob("*.claim")) == []
+        # The released claim passes straight to the next batch, which
+        # meets its own error instead of outwaiting a dead claim.
+        start = time.monotonic()
+        report = run_batch(["boom"], jobs=1, cache=cache)
+        assert time.monotonic() - start < 1.0
+        item, = report.items
+        assert "kaboom" in item.error
+        assert item.outcome == "local"
+
+    def test_concurrent_batches_compute_each_entry_once(self, tmp_path):
+        start_at = time.time() + 3.0  # both children are imported by then
+        code = (
+            "import json, sys, time\n"
+            "from repro.batch import ResultCache, run_batch\n"
+            "from repro.io import result_to_dict\n"
+            f"time.sleep(max(0.0, {start_at!r} - time.time()))\n"
+            "report = run_batch(['majorization', 'table3'], kwargs_by_id={\n"
+            "    'majorization': {'trials_per_size': 5000, 'seed': 5}},\n"
+            f"    jobs=1, cache=ResultCache({str(tmp_path)!r}))\n"
+            "json.dump({i.experiment_id: [i.outcome,\n"
+            "           result_to_dict(i.result)['rows']]\n"
+            "           for i in report.items}, sys.stdout)\n")
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        children = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                                     stdout=subprocess.PIPE)
+                    for _ in range(2)]
+        reports = [json.loads(child.communicate(timeout=120)[0])
+                   for child in children]
+        for experiment_id in ("majorization", "table3"):
+            outcomes = sorted(r[experiment_id][0] for r in reports)
+            assert outcomes.count("leader") == 1, outcomes
+            assert set(outcomes) <= {"leader", "hit", "follower"}, outcomes
+            assert reports[0][experiment_id][1] == reports[1][experiment_id][1]
 
     def test_cache_respects_kwargs(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -251,6 +251,92 @@ class TestGetOrCompute:
         assert stats["hits"] == 1
 
 
+class TestGetOrComputeMany:
+    def test_leads_every_missing_key_in_one_call(self, tmp_path):
+        cache = SharedCache(tmp_path)
+        cache.put("a", "published")
+        calls = []
+
+        def compute(claimed):
+            calls.append(claimed)
+            return {key: key.upper() for key in claimed}
+
+        got = cache.get_or_compute_many(["a", "b", "c"], compute)
+        assert got == {"a": ("published", "hit"), "b": ("B", "leader"),
+                       "c": ("C", "leader")}
+        assert calls == [["b", "c"]]
+        assert list(tmp_path.glob("*.claim")) == []
+
+    def test_failed_key_is_released_unpublished(self, tmp_path):
+        cache = SharedCache(tmp_path)
+        got = cache.get_or_compute_many(["ok", "bad"],
+                                        lambda claimed: {"ok": 1})
+        assert got == {"ok": (1, "leader"), "bad": (None, "local")}
+        assert cache.get("bad") is None
+        assert not cache._claim_path("bad").exists()
+        assert cache.get_or_compute("bad", lambda: 2) == (2, "leader")
+
+    def test_follows_keys_another_process_holds(self, tmp_path):
+        holder = SharedCache(tmp_path)
+        token = holder.try_claim("b")
+
+        def publish_later():
+            time.sleep(0.05)
+            holder.put("b", "theirs")
+            holder.release_claim("b", token)
+
+        thread = threading.Thread(target=publish_later)
+        thread.start()
+        calls = []
+        got = SharedCache(tmp_path, poll_interval=0.002).get_or_compute_many(
+            ["a", "b"], lambda claimed: calls.append(claimed) or {
+                key: "mine" for key in claimed})
+        thread.join(10)
+        assert got == {"a": ("mine", "leader"), "b": ("theirs", "follower")}
+        assert calls == [["a"]]
+
+    def test_oversubscribed_claimants_compute_each_key_once(self, tmp_path):
+        keys = [f"k{i}" for i in range(5)]
+        log = tmp_path / "computes.log"
+        claimants = 6  # more than the cores of a small runner
+        barrier = threading.Barrier(claimants)
+        results = [None] * claimants
+
+        def compute(claimed):
+            fd = os.open(log, os.O_CREAT | os.O_WRONLY | os.O_APPEND)
+            try:
+                os.write(fd, "".join(f"{k}\n" for k in claimed).encode())
+            finally:
+                os.close(fd)
+            time.sleep(0.005)
+            return {key: key.upper() for key in claimed}
+
+        def claimant(i):
+            cache = SharedCache(tmp_path / "root", poll_interval=0.001)
+            order = keys[i % len(keys):] + keys[:i % len(keys)]
+            barrier.wait()
+            results[i] = cache.get_or_compute_many(order, compute,
+                                                   wait_timeout=30.0)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=claimant, args=(i,))
+                       for i in range(claimants)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(log.read_text().split()) == keys  # once each
+        for key in keys:
+            outcomes = [r[key][1] for r in results]
+            assert outcomes.count("leader") == 1, (key, outcomes)
+            assert {r[key][0] for r in results} == {key.upper()}
+
+
 def _child(code: str) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=_SRC)
     return subprocess.Popen([sys.executable, "-c", code], env=env)
