@@ -1,16 +1,14 @@
 """The one on-disk cache tier: atomic publish plus single-flight dedup.
 
-Every on-disk cache stores through :class:`SharedCache`: experiment
-results (:class:`~repro.batch.cache.ResultCache`) and the cross-worker
-response-cache tier of ``serve --workers N``.  N processes receiving
-the same expensive request at once would otherwise compute it N times
+:class:`SharedCache` is the store behind the experiment result cache
+(:class:`~repro.batch.cache.ResultCache`).  N processes receiving the
+same expensive experiment at once would otherwise compute it N times
 — the waste the in-process coalescer eliminates for *one* event loop.
 This module is the cross-process analogue, built on two primitives:
 
 **Atomic publish.**  Entries are JSON documents under one directory,
 content-addressed by the caller's key (``<experiment>-<cache_key>``
-for results, the response-cache key for rendered bodies).  Writers
-publish via :func:`repro.util.fsio.atomic_write_text`; readers see a
+for results).  Writers publish via :func:`repro.util.fsio.atomic_write_text`; readers see a
 complete old document or a complete new one, never a torn write.
 
 **Claim files (single flight).**  ``get_or_compute_many`` elects one
@@ -27,10 +25,10 @@ where two followers take over at once both may compute, which is safe
 bounded (the normal path computes exactly once — the property pinned by
 ``tests/properties/test_single_flight_properties.py``).
 
-Entries may carry an absolute expiry (the service's response-cache tier
-reuses its TTL); experiment results are published without one through
-:class:`~repro.batch.cache.ResultCache`, whose key folds in the package
-version — a code change is what invalidates them.
+Entries never expire: :class:`~repro.batch.cache.ResultCache` folds the
+package version into its keys, so a code change is what invalidates
+them.  (Entries written with an ``"expires"`` field by older versions
+still read as hits; the field is ignored.)
 """
 
 from __future__ import annotations
@@ -120,43 +118,26 @@ class SharedCache:
     def get(self, key: str) -> Any | None:
         """The published value, or ``None`` on any kind of miss.
 
-        Expired and damaged entries degrade to misses (and are removed
-        best-effort): this tier can lose entries, never corrupt them.
+        Damaged entries degrade to misses: this tier can lose entries,
+        never corrupt them.
         """
         document = self._read_entry(key)
         return None if document is None else document["value"]
 
-    def get_with_expiry(self, key: str) -> tuple[Any, float | None] | None:
-        """Like :meth:`get`, plus the entry's absolute expiry (epoch).
-
-        The response-cache tier uses this to promote a shared hit into
-        process memory *without extending its lifetime*: the in-memory
-        copy inherits the remaining TTL, not a fresh one.
-        """
-        document = self._read_entry(key)
-        if document is None:
-            return None
-        return document["value"], document.get("expires")
-
     def _read_entry(self, key: str) -> dict[str, Any] | None:
-        path = self._entry_path(key)
         try:
-            document = json.loads(path.read_text(encoding="utf-8"))
+            document = json.loads(
+                self._entry_path(key).read_text(encoding="utf-8"))
             if (document.get("schema_version") != _SCHEMA_VERSION
                     or document.get("key") != key):
-                return None
-            expires = document.get("expires")
-            if expires is not None and time.time() >= expires:
-                _unlink_quietly(path)
                 return None
             return document
         except (OSError, ValueError, AttributeError, KeyError, TypeError):
             return None
 
-    def put(self, key: str, value: Any, *, ttl: float | None = None) -> bool:
+    def put(self, key: str, value: Any) -> bool:
         """Atomically publish ``value``; False when it defies JSON/disk."""
         document = {"schema_version": _SCHEMA_VERSION, "key": key,
-                    "expires": (time.time() + ttl) if ttl else None,
                     "value": value}
         try:
             text = json.dumps(document, separators=(",", ":"),

@@ -151,11 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8023,
                        help="bind port; 0 asks the OS for an ephemeral port "
                             "(default: 8023)")
-    serve.add_argument("--batch-window", type=float, default=2.0,
-                       metavar="MS",
-                       help="retired, has no effect: each micro-batch is "
-                            "whatever is already queued, solved at once; "
-                            "kept so existing command lines still parse")
     serve.add_argument("--max-batch", type=int, default=64, metavar="N",
                        help="max evaluation requests solved in one "
                             "coalesced batch (default: 64)")
@@ -225,12 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests after the listener closes; new "
                             "requests during the drain answer 503 + "
                             "Retry-After (default: 5)")
-    serve.add_argument("--socket-mode",
-                       choices=("auto", "reuseport", "inherit"),
-                       default="auto",
-                       help="how workers share the port: kernel-balanced "
-                            "SO_REUSEPORT sockets or one inherited "
-                            "listener (default: auto)")
     serve.add_argument("--metrics-port", type=int, default=None, metavar="N",
                        help="with --workers > 1, serve an aggregate "
                             "/metrics + /healthz for the whole fleet on "
@@ -634,17 +623,19 @@ def _store_cli_run(args, batch, experiment_ids, kwargs_by_id, tracer,
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: exit 0 on clean shutdown, 1 when the
-    bind fails, 3 for engine/simulation errors (e.g. a bad --engine or
-    $REPRO_SIM_ENGINE surfacing at boot), 4 when a worker's respawn
-    budget is exhausted under ``--workers``."""
+    bind fails, 2 for an invalid configuration (e.g. ``--workers 2`` on
+    a platform without ``SO_REUSEPORT``), 3 for engine/simulation
+    errors (e.g. a bad --engine or $REPRO_SIM_ENGINE surfacing at
+    boot), 4 when a worker's respawn budget is exhausted under
+    ``--workers``."""
     import logging
 
+    from repro.errors import InvalidParameterError
     from repro.obs import default_registry
     from repro.service import ServiceConfig, run_service
 
     config = ServiceConfig(
         host=args.host, port=args.port,
-        batch_window=args.batch_window / 1000.0,  # CLI speaks milliseconds
         max_batch=args.max_batch, max_inflight=args.max_inflight,
         rate=args.rate, burst=args.burst, deadline=args.deadline,
         cache_entries=args.cache_entries, cache_ttl=args.cache_ttl,
@@ -654,7 +645,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slo_latency=args.slo_latency, slo_objective=args.slo_objective,
         log_level=args.log_level,
         workers=args.workers, drain_timeout=args.drain_timeout,
-        socket_mode=args.socket_mode, metrics_port=args.metrics_port)
+        metrics_port=args.metrics_port)
+    supervisor = None
+    if config.workers > 1:
+        from repro.service.supervisor import Supervisor
+        try:
+            supervisor = Supervisor(config)
+        except InvalidParameterError as exc:
+            print(f"error: InvalidParameterError: {exc}", file=sys.stderr)
+            return 2
 
     # Structured request logging: the access logger emits one bare JSON
     # line per request at INFO; lifecycle/warning messages share the
@@ -665,10 +664,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     svc_logger.addHandler(handler)
     svc_logger.setLevel(getattr(logging, args.log_level.upper()))
 
-    if config.workers > 1:
-        from repro.service.supervisor import Supervisor
+    if supervisor is not None:
         try:
-            return Supervisor(config).run()
+            return supervisor.run()
         except OSError as exc:
             print(f"error: cannot bind {args.host}:{args.port}: {exc}",
                   file=sys.stderr)

@@ -18,8 +18,8 @@ Layout
     Token-bucket rate limiting and the max-in-flight counter behind
     429/503 load shedding.
 :mod:`repro.service.respcache`
-    The TTL'd LRU response cache (keyed like the batch layer's
-    :class:`~repro.batch.cache.ResultCache`).
+    The TTL'd LRU response cache, one per process (keyed like the
+    batch layer's :class:`~repro.batch.cache.ResultCache`).
 :mod:`repro.service.coalescer`
     The micro-batching heart: concurrent evaluation requests are
     drained from the queue and solved in one shot —

@@ -329,12 +329,8 @@ class ReproService:
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             rate=self.config.rate, burst=self.config.burst)
-        shared = None
-        if self.config.shared_cache_dir is not None:
-            from repro.batch.shared_cache import SharedCache
-            shared = SharedCache(self.config.shared_cache_dir)
         self.cache = ResponseCache(self.config.cache_entries,
-                                   self.config.cache_ttl, shared=shared)
+                                   self.config.cache_ttl)
         self.batcher = MicroBatcher(max_batch=self.config.max_batch,
                                     registry=self.registry,
                                     tracer=self.tracer)
@@ -373,9 +369,9 @@ class ReproService:
     async def start(self, sock: Any = None) -> None:
         """Bind the socket and start the coalescer's drain task.
 
-        ``sock`` optionally supplies an already-bound (``SO_REUSEPORT``)
-        or already-listening (inherited) socket — how supervisor workers
-        share one port; ``None`` binds ``config.host:config.port``.
+        ``sock`` optionally supplies an already-bound ``SO_REUSEPORT``
+        socket — how supervisor workers share one port; ``None`` binds
+        ``config.host:config.port``.
         """
         if self.config.engine is not None:
             import os
@@ -723,12 +719,6 @@ class ReproService:
                         "svc_response_cache_hits_total",
                         "evaluation responses served from the TTL cache"
                     ).inc(kind=kind)
-                    if self.cache.last_tier == "shared":
-                        self.registry.counter(
-                            "svc_shared_cache_hits_total",
-                            "responses served from the cross-worker "
-                            "shared cache tier"
-                        ).inc(kind=kind)
                     return _Response(200, body)
             result = await self.batcher.submit(kind, payload,
                                                trace_parent=_REQ_SPAN.get())
@@ -894,11 +884,8 @@ class ReproService:
                                         "state": self._stream.state_view()})
 
     # -- observability endpoints ---------------------------------------
-    def _store_or_none(self) -> RunStore | None:
-        return self.store
-
     async def _handle_obs_summary(self, request: Request) -> _Response:
-        store = self._store_or_none()
+        store = self.store
         slo = {
             route: {"requests": counts[1], "bad": counts[0],
                     "burn_rate": round((counts[0] / counts[1])
@@ -913,13 +900,13 @@ class ReproService:
         })
 
     async def _handle_obs_runs(self, request: Request) -> _Response:
-        store = self._store_or_none()
+        store = self.store
         if store is None:
             return _error_response(503, "run-history store is disabled")
         return _json_response(200, {"runs": store.runs(limit=50)})
 
     async def _handle_obs_run(self, request: Request) -> _Response:
-        store = self._store_or_none()
+        store = self.store
         if store is None:
             return _error_response(503, "run-history store is disabled")
         run_id = request.path.rsplit("/", 1)[-1]

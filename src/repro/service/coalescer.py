@@ -377,9 +377,7 @@ class MicroBatcher:
                 pass
             self._task = None
         while not self._queue.empty():
-            # Entry shape is (kind, payload, future[, trace_parent]);
-            # index rather than unpack so a legacy 3-tuple still drains.
-            future = self._queue.get_nowait()[2]
+            _, _, future, _ = self._queue.get_nowait()
             if not future.done():
                 future.set_exception(
                     ConnectionError("service stopped before the request "

@@ -26,15 +26,11 @@ class ServiceConfig:
     host, port:
         Bind address.  ``port=0`` asks the OS for an ephemeral port
         (the bound port is reported by ``ReproService.port``).
-    batch_window:
-        Retired; validated (``>= 0``) but has no effect.  The coalescer
-        no longer waits for companions: each batch is the first queued
-        request plus whatever is already queued, solved at once.  Kept
-        so existing configurations and ``--batch-window`` command lines
-        still work.
     max_batch:
         Hard cap on requests solved in one coalesced batch — the only
-        batching setting.
+        batching setting: the coalescer never waits for companions, so
+        each batch is the first queued request plus whatever is already
+        queued, solved at once.
     max_inflight:
         Admitted-but-unanswered request ceiling; request number
         ``max_inflight + 1`` is shed with ``503`` + ``Retry-After``.
@@ -48,7 +44,9 @@ class ServiceConfig:
         header; expiry cancels the work and answers ``504``.
     cache_entries, cache_ttl:
         The TTL'd LRU response cache for the deterministic evaluation
-        endpoints.  ``cache_entries=0`` or ``cache_ttl=0`` disables it.
+        endpoints, one per process (each ``serve --workers N`` worker
+        keeps its own).  ``cache_entries=0`` or ``cache_ttl=0`` disables
+        it.
     jobs, no_result_cache, result_cache_dir:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk
@@ -81,7 +79,8 @@ class ServiceConfig:
     workers, worker_index:
         Pre-fork scale-out: ``workers > 1`` makes ``serve`` run a
         supervisor with that many worker processes sharing the port
-        (``SO_REUSEPORT`` when the platform has it).  ``worker_index``
+        through ``SO_REUSEPORT``; on a platform without it the
+        supervisor refuses to start.  ``worker_index``
         identifies one worker inside its own process — the supervisor
         sets it; user configs leave it at ``None``.  Note the global
         ``rate``/``max_inflight``/``burst`` are *totals*: the
@@ -90,17 +89,6 @@ class ServiceConfig:
         Seconds a stopping server waits for in-flight requests after it
         stops accepting; new requests during the drain answer ``503`` +
         ``Retry-After`` instead of a connection reset.
-    shared_cache_dir:
-        The cross-worker tier of the response cache (a
-        :class:`~repro.batch.shared_cache.SharedCache`).  The supervisor
-        sets it to a directory in its temporary run dir, removed on
-        exit; user configs leave it at ``None`` (no shared tier).
-    socket_mode:
-        How workers share the listening port: ``"reuseport"`` (each
-        worker binds its own ``SO_REUSEPORT`` socket — kernel load
-        balancing), ``"inherit"`` (the supervisor binds and listens,
-        workers accept on the inherited socket), or ``"auto"`` (use
-        ``SO_REUSEPORT`` when available, else inherit).
     metrics_flush_path, metrics_flush_interval:
         Worker-side metrics export for the supervisor aggregate: each
         worker atomically rewrites a JSON registry dump at this path
@@ -113,7 +101,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8023
-    batch_window: float = 0.002
     max_batch: int = 64
     max_inflight: int = 64
     rate: float = 0.0
@@ -135,8 +122,6 @@ class ServiceConfig:
     workers: int = 1
     worker_index: int | None = None
     drain_timeout: float = 5.0
-    shared_cache_dir: str | None = None
-    socket_mode: str = "auto"
     metrics_flush_path: str | None = None
     metrics_flush_interval: float = 0.5
     metrics_port: int | None = None
@@ -144,8 +129,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
             raise InvalidParameterError(f"port must be in [0, 65535], got {self.port!r}")
-        for name, minimum in (("batch_window", 0.0), ("rate", 0.0),
-                              ("deadline", 0.0), ("cache_ttl", 0.0)):
+        for name, minimum in (("rate", 0.0), ("deadline", 0.0),
+                              ("cache_ttl", 0.0)):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or value != value or value < minimum:
@@ -193,10 +178,6 @@ class ServiceConfig:
                     or value != value or value < 0:
                 raise InvalidParameterError(
                     f"{name} must be a number >= 0, got {value!r}")
-        if self.socket_mode not in ("auto", "reuseport", "inherit"):
-            raise InvalidParameterError(
-                f"socket_mode must be one of auto/reuseport/inherit, "
-                f"got {self.socket_mode!r}")
         if self.metrics_port is not None and not (0 <= self.metrics_port <= 65535):
             raise InvalidParameterError(
                 f"metrics_port must be None or in [0, 65535], "

@@ -5,13 +5,12 @@ only jobs are process lifecycle and aggregation — every request is
 served by an ordinary single-process :class:`~repro.service.app.
 ReproService` inside a forked worker:
 
-* **Port sharing.**  With ``SO_REUSEPORT`` (``socket_mode="reuseport"``,
-  the Linux default) the parent binds a *placeholder* socket — never
-  listening, it exists to resolve ``port=0`` and keep the port reserved
-  across worker restarts — and every worker binds + listens on its own
-  ``SO_REUSEPORT`` socket, letting the kernel load-balance accepts.
-  Where the option is missing (``"inherit"``), the parent binds and
-  listens once and forked workers accept from the shared queue.
+* **Port sharing.**  The parent binds a ``SO_REUSEPORT``
+  *placeholder* socket — never listening, it exists to resolve
+  ``port=0`` and keep the port reserved across worker restarts — and
+  every worker binds + listens on its own ``SO_REUSEPORT`` socket,
+  letting the kernel load-balance accepts.  A platform without
+  ``SO_REUSEPORT`` cannot run a fleet: the supervisor refuses to start.
 * **Budget split.**  The configured ``rate`` / ``max_inflight`` /
   ``burst`` are cluster totals; each worker gets ``rate/N``,
   ``ceil(inflight/N)``, and a burst share inflated by
@@ -35,10 +34,9 @@ ReproService` inside a forked worker:
   merges the dumps with the supervisor's own series
   (``svc_supervisor_restarts_total{worker}``,
   ``svc_supervisor_workers``) plus a ``GET /healthz`` fleet view.
-  Workers share the on-disk result cache, so an experiment dispatched
-  to several workers at once computes once, and their response caches
-  share a :class:`~repro.batch.shared_cache.SharedCache` tier in the
-  supervisor's temporary run directory, removed on exit.
+  The run directory holds nothing else.  Workers share the on-disk
+  result cache, so an experiment dispatched to several workers at once
+  computes once; each worker keeps its own in-memory response cache.
 """
 
 from __future__ import annotations
@@ -90,8 +88,7 @@ def _log(message: str) -> None:
 
 def worker_config(config: ServiceConfig, index: int, *,
                   port: int | None = None,
-                  metrics_flush_path: str | None = None,
-                  shared_cache_dir: str | None = None) -> ServiceConfig:
+                  metrics_flush_path: str | None = None) -> ServiceConfig:
     """One worker's derived config: its slice of the cluster budgets.
 
     ``rate`` and ``max_inflight`` are divided by ``workers`` (inflight
@@ -115,8 +112,7 @@ def worker_config(config: ServiceConfig, index: int, *,
         worker_index=index,
         port=port if port is not None else config.port,
         rate=rate, max_inflight=inflight, burst=burst,
-        metrics_flush_path=metrics_flush_path,
-        shared_cache_dir=shared_cache_dir)
+        metrics_flush_path=metrics_flush_path)
 
 
 # ---------------------------------------------------------------------------
@@ -154,22 +150,18 @@ class _MetricsFlusher:
             pass  # aggregation is best-effort colour, never fatal
 
 
-def _reuseport_socket(host: str, port: int, *, listen: bool = False
-                      ) -> socket.socket:
+def _reuseport_socket(host: str, port: int) -> socket.socket:
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((host, port))
-        if listen:
-            sock.listen(128)
     except BaseException:
         sock.close()
         raise
     return sock
 
 
-def _worker_main(config: ServiceConfig, inherited_sock: socket.socket | None,
-                 conn: Any) -> None:
+def _worker_main(config: ServiceConfig, conn: Any) -> None:
     """Entry point of one forked worker (runs until SIGTERM)."""
     # The supervisor coordinates shutdown via SIGTERM; a terminal ^C
     # delivers SIGINT to the whole process group, which workers must
@@ -179,23 +171,18 @@ def _worker_main(config: ServiceConfig, inherited_sock: socket.socket | None,
         constant_labels={"worker": str(config.worker_index)})
     set_default_registry(registry)
     try:
-        asyncio.run(_worker_async(config, inherited_sock, conn, registry))
+        asyncio.run(_worker_async(config, conn, registry))
     except BaseException as exc:  # noqa: BLE001 - report, then die visibly
         with contextlib.suppress(Exception):
             conn.send(("error", type(exc).__name__, str(exc)))
         raise SystemExit(1) from exc
 
 
-async def _worker_async(config: ServiceConfig,
-                        inherited_sock: socket.socket | None, conn: Any,
+async def _worker_async(config: ServiceConfig, conn: Any,
                         registry: MetricsRegistry) -> None:
     service = ReproService(config, registry=registry)
     try:
-        if inherited_sock is not None:
-            await service.start(sock=inherited_sock)
-        else:
-            await service.start(sock=_reuseport_socket(config.host,
-                                                       config.port))
+        await service.start(sock=_reuseport_socket(config.host, config.port))
     except BaseException as exc:  # noqa: BLE001 - the pipe is the report
         conn.send(("error", type(exc).__name__, str(exc)))
         return
@@ -257,6 +244,10 @@ class Supervisor:
         if config.workers < 1:
             raise InvalidParameterError(
                 f"workers must be >= 1, got {config.workers!r}")
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise InvalidParameterError(
+                "serve --workers needs SO_REUSEPORT, which this platform "
+                "lacks; run a single worker instead")
         self.config = config
         self.install_signals = install_signals
         self.respawn_budget = int(respawn_budget)
@@ -273,7 +264,6 @@ class Supervisor:
         self._stop = threading.Event()
         self._ready = threading.Event()
         self._startup_error: tuple[str, str] | None = None
-        self._listen_sock: socket.socket | None = None
         self._placeholder: socket.socket | None = None
         self._run_dir: str | None = None
         self._owns_run_dir = False
@@ -295,34 +285,13 @@ class Supervisor:
         return self.port
 
     # -- socket strategy -----------------------------------------------
-    def _resolve_socket_mode(self) -> str:
-        mode = self.config.socket_mode
-        if mode == "auto":
-            return ("reuseport" if hasattr(socket, "SO_REUSEPORT")
-                    else "inherit")
-        if mode == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            raise InvalidParameterError(
-                "socket_mode='reuseport' but this platform has no "
-                "SO_REUSEPORT; use 'inherit' or 'auto'")
-        return mode
-
     def _bind(self) -> None:
-        mode = self._resolve_socket_mode()
-        if mode == "reuseport":
-            # Placeholder: resolves port=0 and keeps the port reserved
-            # while workers restart, but never listens — a bound
-            # non-listening socket takes no part in accept balancing.
-            self._placeholder = _reuseport_socket(self.config.host,
-                                                  self.config.port)
-            self.port = self._placeholder.getsockname()[1]
-        else:
-            self._listen_sock = socket.socket(socket.AF_INET,
-                                              socket.SOCK_STREAM)
-            self._listen_sock.setsockopt(socket.SOL_SOCKET,
-                                         socket.SO_REUSEADDR, 1)
-            self._listen_sock.bind((self.config.host, self.config.port))
-            self._listen_sock.listen(128)
-            self.port = self._listen_sock.getsockname()[1]
+        # Placeholder: resolves port=0 and keeps the port reserved while
+        # workers restart, but never listens — a bound non-listening
+        # socket takes no part in accept balancing.
+        self._placeholder = _reuseport_socket(self.config.host,
+                                              self.config.port)
+        self.port = self._placeholder.getsockname()[1]
 
     # -- worker lifecycle ----------------------------------------------
     def _flush_path(self, index: int) -> str:
@@ -333,10 +302,9 @@ class Supervisor:
         recv, send = self._ctx.Pipe(duplex=False)
         cfg = worker_config(
             self.config, slot.index, port=self.port,
-            metrics_flush_path=self._flush_path(slot.index),
-            shared_cache_dir=str(Path(self._run_dir) / "shared"))
+            metrics_flush_path=self._flush_path(slot.index))
         slot.process = self._ctx.Process(
-            target=_worker_main, args=(cfg, self._listen_sock, send),
+            target=_worker_main, args=(cfg, send),
             name=f"repro-worker-{slot.index}", daemon=False)
         slot.pipe = recv
         slot.ready = False
@@ -403,8 +371,7 @@ class Supervisor:
             self._start_metrics_endpoint()
         self._ready.set()
         _log(f"{self.config.workers} worker(s) ready on "
-             f"{self.config.host}:{self.port} "
-             f"[{self._resolve_socket_mode()}]")
+             f"{self.config.host}:{self.port}")
 
         code = self._monitor()
         self._fan_down()
@@ -472,11 +439,10 @@ class Supervisor:
                 self._metrics_httpd.shutdown()
                 self._metrics_httpd.server_close()
             self._metrics_httpd = None
-        for sock in (self._listen_sock, self._placeholder):
-            if sock is not None:
-                with contextlib.suppress(OSError):
-                    sock.close()
-        self._listen_sock = self._placeholder = None
+        if self._placeholder is not None:
+            with contextlib.suppress(OSError):
+                self._placeholder.close()
+        self._placeholder = None
         if self._owns_run_dir and self._run_dir:
             shutil.rmtree(self._run_dir, ignore_errors=True)
         self._run_dir = None

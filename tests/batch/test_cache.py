@@ -186,6 +186,21 @@ class TestGetOrCompute:
         assert [(r.title, o) for r, o in got.values()] == [
             ("stored", "hit"), ("recomputed", "leader")]
 
+    def test_entry_with_null_expires_field_is_a_hit(self, tmp_path):
+        # Entries written by older versions carry "expires": null next
+        # to the value; they still read, and single-flight, as hits.
+        cache = ResultCache(tmp_path)
+        cache.put("table3", {}, _result(title="stored"))
+        entry, = tmp_path.glob("table3-*.json")
+        document = json.loads(entry.read_text())
+        entry.write_text(json.dumps({**document, "expires": None},
+                                    separators=(",", ":")))
+        assert cache.get("table3", {}).title == "stored"
+        got = cache.get_or_compute_many(
+            {"table3": {}}, lambda ids: {"table3": _result(title="recomputed")})
+        result, outcome = got["table3"]
+        assert (result.title, outcome) == ("stored", "hit")
+
     def test_damaged_entry_recomputes(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.store.put(cache._entry("table3", {}), {"not": "a result"})

@@ -25,20 +25,11 @@ class TestPublishedTier:
         assert cache.put("k", {"answer": 42}) is True
         assert cache.get("k") == {"answer": 42}
 
-    def test_ttl_expiry(self, tmp_path):
-        cache = SharedCache(tmp_path)
-        cache.put("k", "v", ttl=0.05)
-        assert cache.get("k") == "v"
-        time.sleep(0.08)
-        assert cache.get("k") is None
-        # expired entries are evicted, not left to rot
-        assert not cache._entry_path("k").exists()
-
-    def test_no_ttl_means_no_expiry(self, tmp_path):
+    def test_entries_carry_no_expiry(self, tmp_path):
         cache = SharedCache(tmp_path)
         cache.put("k", "v")
-        got = cache.get_with_expiry("k")
-        assert got == ("v", None)
+        assert "expires" not in json.loads(
+            cache._entry_path("k").read_text())
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = SharedCache(tmp_path)

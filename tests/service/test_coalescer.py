@@ -216,7 +216,7 @@ class TestMicroBatcher:
             batcher = MicroBatcher(max_batch=64)
             # Never started: queue a request by hand and stop.
             future = asyncio.get_running_loop().create_future()
-            batcher._queue.put_nowait(("x", {}, future))
+            batcher._queue.put_nowait(("x", {}, future, None))
             await batcher.stop()
             with pytest.raises(ConnectionError):
                 future.result()

@@ -163,7 +163,7 @@ class TestOperationalEndpoints:
 
 class TestBatchingOverHttp:
     def test_concurrent_identical_requests_share_one_solve(self, tmp_path):
-        config = ServiceConfig(port=0, batch_window=0.05, max_batch=64,
+        config = ServiceConfig(port=0, max_batch=64,
                                cache_entries=0,  # force the coalescer path
                                no_result_cache=True)
         with ServiceThread(config, registry=MetricsRegistry()) as server:
@@ -189,10 +189,9 @@ class TestBatchingOverHttp:
             assert solver.collapsed + solver.xpool.hits > 0
 
     def test_lone_request_does_not_wait_for_company(self, tmp_path):
-        # The coalescer dispatches whatever is queued at once; the
-        # retired batch_window no longer delays anything.
+        # The coalescer dispatches whatever is queued at once.
         registry = MetricsRegistry()
-        config = ServiceConfig(port=0, batch_window=1.0, cache_entries=0,
+        config = ServiceConfig(port=0, cache_entries=0,
                                no_result_cache=True, no_store=True)
         with ServiceThread(config, registry=registry) as server:
             with server.client() as client:

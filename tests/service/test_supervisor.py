@@ -7,16 +7,22 @@ down.  Crash handling is exercised with real SIGKILLs.
 
 import json
 import os
+import re
 import signal
+import socket
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import InvalidParameterError
+from repro.obs.metrics import MetricsRegistry
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
+from repro.service.runtime import ServiceThread
 from repro.service.supervisor import (BURST_SHARE, EXIT_RESPAWN_BUDGET,
                                       Supervisor, worker_config)
 
@@ -169,6 +175,73 @@ class TestFleet:
         assert running.join(30.0) in (1, 3)
         assert running.supervisor.exit_reason is not None
         assert running.supervisor.exit_reason.startswith("startup")
+
+
+class TestPortSharing:
+    def test_fleet_without_reuseport_refuses_to_start(self, monkeypatch,
+                                                      capsys):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        with pytest.raises(InvalidParameterError, match="SO_REUSEPORT"):
+            Supervisor(_config(workers=2))
+        assert main(["serve", "--port", "0", "--workers", "2"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0 and "SO_REUSEPORT" in err
+
+    def test_single_worker_needs_no_reuseport(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT")
+        config = ServiceConfig(port=0, no_store=True, no_result_cache=True)
+        with ServiceThread(config, registry=MetricsRegistry()) as server:
+            with server.client() as client:
+                assert client.x([1.0, 2.0])["n"] == 2
+
+
+def _post_raw(port: int, path: str, payload: dict) -> bytes:
+    """One request on a fresh connection (so any worker may answer)."""
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}{path}",
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=30.0) as response:
+        return response.read()
+
+
+class TestResponseCache:
+    """Each worker's response cache is in memory; none touches disk."""
+
+    def test_fresh_responses_leave_only_metrics_dumps(self):
+        config = _config(workers=2, cache_ttl=60.0, cache_entries=1024,
+                         metrics_flush_interval=0.05)
+        with _RunningSupervisor(config) as running:
+            run_dir = Path(running.supervisor._run_dir)
+            answered = []
+
+            def send(offset: int) -> None:
+                with ServiceClient("127.0.0.1", running.port) as client:
+                    for i in range(offset, 200, 4):
+                        answered.append(
+                            client.x([1.0, 1.0 + (i + 1) / 256.0])["n"])
+
+            threads = [threading.Thread(target=send, args=(k,))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+            assert not any(t.is_alive() for t in threads)
+            assert answered == [2] * 200
+            time.sleep(0.2)  # let both workers flush their metrics once
+            left = sorted(p.relative_to(run_dir).as_posix()
+                          for p in run_dir.rglob("*"))
+        dump = re.compile(r"worker-\d+\.metrics\.json(\.[^/]+\.tmp)?")
+        assert left and all(dump.fullmatch(name) for name in left), left
+
+    def test_repeats_are_byte_identical_across_workers(self):
+        config = _config(workers=2, cache_ttl=60.0, cache_entries=1024)
+        payload = {"profile": [1.0, 0.5, 0.25]}
+        with _RunningSupervisor(config) as running:
+            bodies = {_post_raw(running.port, "/v1/x", payload)
+                      for _ in range(16)}
+        assert len(bodies) == 1
 
 
 class TestAggregation:
