@@ -12,9 +12,14 @@ baseline future PRs regress against:
 2. **HECR throughput** — :meth:`ProfileBatch.hecr` (Proposition 1,
    vectorised) versus a scalar ``hecr_from_x`` loop over the same
    precomputed X column.
+3. **Scalar HECR unit cost** — the scalar HECR loop over the scalar X
+   loop (``hecr_scalar_cost_ratio``).  Proposition 1 on a known X is a
+   handful of flops, eq. (1) an n-term pass, so the ratio must stay at
+   or under :data:`_HECR_SCALAR_COST_CEILING` every run: a scalar call
+   that builds and masks arrays again fails it, however fast the batch.
 
 Every section re-asserts bitwise scalar parity *before* timing (the
-scalar HECR is a one-element call of the batch closed form, so HECR is
+scalar HECR runs the batch closed form on one float, so HECR is
 bitwise too).  A fast path that drifts is not a speedup.
 
 Timings use best-of-N minima.  Speedups are recorded both ways: as
@@ -57,6 +62,11 @@ _SCALAR_REPEATS = 5
 
 #: Acceptance floor: fresh-construct-then-X throughput at n = 32.
 _X_EVALS_PER_SEC_FLOOR = 1.0e6
+#: Ceiling on scalar-HECR-loop seconds over scalar-X-loop seconds at
+#: n = 32, asserted every run.  The float-only closed form sits near
+#: 0.1; a one-element array round trip through the batch kernel
+#: measured ~1.6.
+_HECR_SCALAR_COST_CEILING = 0.25
 #: Check mode fails when a speedup keeps less than this fraction of its
 #: committed baseline value.  Looser than the fast-path guard's 0.75:
 #: the batch sides here are tens of microseconds, where scheduler noise
@@ -142,6 +152,9 @@ def test_profile_batch_throughput_and_baseline(report_sink):
     measured: dict[str, float] = {"batch_m": _M, "batch_n": _N}
     measured.update(_x_throughput(rows))
     measured.update(_hecr_throughput(rows))
+    measured["hecr_scalar_cost_ratio"] = round(
+        measured["hecr_scalar_loop_seconds"]
+        / measured["x_scalar_loop_seconds"], 5)
 
     lines = [
         f"ProfileBatch columnar kernels, m={_M} n={_N}",
@@ -153,6 +166,8 @@ def test_profile_batch_throughput_and_baseline(report_sink):
         f"({measured['hecr_evals_per_sec'] / 1e6:.0f} M evals/s), "
         f"scalar loop {measured['hecr_scalar_loop_seconds'] * 1e3:7.1f} ms "
         f"(x{measured['hecr_speedup']:.1f})",
+        f"  scalar   HECR/X loop cost {measured['hecr_scalar_cost_ratio']:.3f} "
+        f"(ceiling {_HECR_SCALAR_COST_CEILING})",
     ]
     report_sink("profile-batch", "\n".join(lines))
 
@@ -166,6 +181,10 @@ def test_profile_batch_throughput_and_baseline(report_sink):
         f"ProfileBatch X throughput is only "
         f"{measured['x_evals_per_sec'] / 1e6:.2f}M evals/s at n={_N} "
         f"(floor {_X_EVALS_PER_SEC_FLOOR / 1e6:.0f}M)")
+    assert measured["hecr_scalar_cost_ratio"] <= _HECR_SCALAR_COST_CEILING, (
+        f"a scalar hecr_from_x costs "
+        f"{measured['hecr_scalar_cost_ratio']:.2f}x a scalar x_measure "
+        f"at n={_N} (ceiling {_HECR_SCALAR_COST_CEILING})")
 
     if check_mode:
         assert committed is not None, (

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.batch_kernels import _build_columns, _hecr_closed_form
 from repro.core.hecr import hecr_from_x
@@ -140,6 +139,7 @@ def find_tau_crossover(p1: Profile, p2: Profile, *,
                     - _x_tau_grid(p2.rho, grid, pi, delta))
     for k in range(grid.size - 1):
         if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
+            from scipy.optimize import brentq  # deferred: ~0.2 s import
             return float(brentq(diff, grid[k], grid[k + 1], xtol=xtol))
         if signs[k] == 0:
             return float(grid[k])

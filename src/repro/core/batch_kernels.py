@@ -349,8 +349,8 @@ def hecr_from_x_many(x_values: np.ndarray, n: int,
         the ``1/(A − τδ)`` saturation bound, *or* a derived rate that is
         non-positive (just below the bound the closed form's
         cancellation can otherwise emit small *negative* rates).  The
-        scalar :func:`~repro.core.hecr.hecr_from_x` is a one-element
-        call of this function that raises exactly where it returns NaN.
+        scalar :func:`~repro.core.hecr.hecr_from_x` runs the same closed
+        form on one float and raises exactly where this returns NaN.
 
     Raises
     ------
@@ -366,9 +366,13 @@ def hecr_from_x_many(x_values: np.ndarray, n: int,
     return _hecr_closed_form(x, n, params.A, params.B, params.tau_delta)
 
 
-def _hecr_closed_form(x: np.ndarray, n: int, A, B, td) -> np.ndarray:
+def _hecr_closed_form(x, n: int, A, B, td):
     """Proposition 1 on validated X-values; NaN where no rate exists.
 
+    ``x`` is an array, or one float (the scalar
+    :func:`~repro.core.hecr.hecr_from_x`): then every mask below is a
+    plain bool and no array is built, while the arithmetic runs through
+    the very same numpy ufuncs, so the float is bitwise the batch entry.
     ``A``, ``B`` and ``td`` (τδ) are floats, or arrays aligned with
     ``x`` for a parameter grid.
     """
@@ -381,14 +385,20 @@ def _hecr_closed_form(x: np.ndarray, n: int, A, B, td) -> np.ndarray:
     saturated = eps >= 1.0
     # gap == 0 is the A = τδ limit, X(P^(ρ)) = n/(Bρ + A) ⇒
     # ρ = (n/X − A)/B; its eps is swapped out so the closed form's
-    # division stays finite in the branch np.where discards.
+    # division stays finite in the branch the selection discards.
     limit = gap == 0.0
-    eps_safe = np.where(saturated | limit, 0.5, eps)
+    eps_safe = _select(saturated | limit, 0.5, eps)
     # one_minus_D = 1 − (1 − ε)^{1/n}, computed cancellation-free.
     one_minus_D = -np.expm1(np.log1p(-eps_safe) / n)
-    out = np.where(limit, (n / x - A) / B, gap / (B * one_minus_D) - A / B)
-    out[saturated | (out <= 0.0)] = np.nan
-    return out
+    out = _select(limit, (n / x - A) / B, gap / (B * one_minus_D) - A / B)
+    return _select(saturated, np.nan, _select(out <= 0.0, np.nan, out))
+
+
+def _select(cond, if_true, if_false):
+    """``np.where``, short-circuited when ``cond`` is a single truth value."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, if_true, if_false)
+    return if_true if cond else if_false
 
 
 # ---------------------------------------------------------------------

@@ -19,18 +19,17 @@ inner ``1 − (1 − ε)^{1/n}`` suffers catastrophic cancellation if evaluated
 naively.  We use ``-expm1(log1p(-ε)/n)`` instead, and we provide an
 independent bisection inverter used to cross-validate the closed form in
 the test suite.  The closed form itself lives in
-:func:`repro.core.batch_kernels.hecr_from_x_many`; the scalar entry
-points here are one-element calls of it, so a profile's HECR is the same
-float whether it is asked for alone or as a row of a batch.
+:mod:`repro.core.batch_kernels` (behind ``hecr_from_x_many``); the
+scalar entry points here run it on one float, so a profile's HECR is
+the same float whether it is asked for alone or as a row of a batch.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Union
 
-import numpy as np
-
-from repro.core.batch_kernels import hecr_from_x_many
+from repro.core.batch_kernels import _hecr_closed_form
 from repro.core.homogeneous import homogeneous_x
 from repro.core.measure import x_measure
 from repro.core.params import ModelParams
@@ -74,9 +73,15 @@ def hecr_from_x(x_value: float, n: int, params: ModelParams) -> float:
         reports NaN: a saturated X, or a derived rate that is
         non-positive.
     """
-    rho = float(hecr_from_x_many(np.array([x_value], dtype=float), n,
-                                 params)[0])
-    if np.isnan(rho):
+    if n < 1:
+        raise InvalidParameterError(f"n must be >= 1, got {n}")
+    x_value = float(x_value)
+    if not 0.0 < x_value < math.inf:  # NaN fails both comparisons
+        raise InvalidParameterError(
+            f"x_value must be positive and finite, got {x_value!r}")
+    rho = float(_hecr_closed_form(x_value, n, params.A, params.B,
+                                  params.tau_delta))
+    if math.isnan(rho):
         gap = params.A - params.tau_delta
         if gap * x_value >= 1.0:
             raise InvalidParameterError(

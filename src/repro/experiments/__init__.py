@@ -1,6 +1,10 @@
 """Experiment registry: one runner per table/figure of the paper.
 
-Importing this package registers every experiment:
+Every experiment id is registered up front as a lazy ``"module:function"``
+entry (see :mod:`repro.experiments.base`); importing this package loads
+no runner module.  A runner's module — and whatever it needs, such as
+the LP solver — is imported the first time the id is looked up or a
+name below is accessed:
 
 ========================  =====================================================
 id                        reproduces
@@ -27,6 +31,8 @@ id                        reproduces
 ========================  =====================================================
 """
 
+import importlib
+
 from repro.experiments.base import (
     ExperimentResult,
     ShardSpec,
@@ -37,33 +43,7 @@ from repro.experiments.base import (
     run_experiment,
     run_sharded,
 )
-from repro.experiments.barchart import render_profile_bars, render_snapshot_strip
-from repro.experiments.coded_resilience import run_coded_resilience
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.failure_rate_sweep import run_failure_rate_sweep
-from repro.experiments.failure_resilience import run_failure_resilience
-from repro.experiments.fig4 import run_fig4
-from repro.experiments.heterogeneity_gain import run_heterogeneity_gain
-from repro.experiments.majorization_study import run_majorization_study
-from repro.experiments.minorization_demo import run_minorization_demo
-from repro.experiments.moment_ablation import run_moment_ablation
-from repro.experiments.params_tables import run_table1, run_table2
-from repro.experiments.protocol_optimality import run_protocol_optimality
-from repro.experiments.saturation import run_saturation
-from repro.experiments.sensitivity_sweep import run_tau_sweep
-from repro.experiments.stream_replay import run_stream_replay
-from repro.experiments.table3 import PAPER_TABLE3_VALUES, run_table3
-from repro.experiments.table4 import PAPER_TABLE4_RATIOS, run_table4
 from repro.experiments.tables import render_table
-from repro.experiments.threshold import PAPER_THETA, run_threshold
-from repro.experiments.variance_trials import (
-    TrialBatch,
-    collect_trials,
-    merge_trial_batches,
-    run_trial_shard,
-    run_variance_trials,
-    trial_shards,
-)
 
 __all__ = [
     "ExperimentResult",
@@ -105,3 +85,39 @@ __all__ = [
     "PAPER_TABLE4_RATIOS",
     "PAPER_THETA",
 ]
+
+#: Re-exports resolved on first access (PEP 562), module by module.
+_LAZY_EXPORTS = {
+    "repro.experiments.barchart": ("render_profile_bars", "render_snapshot_strip"),
+    "repro.experiments.coded_resilience": ("run_coded_resilience",),
+    "repro.experiments.failure_rate_sweep": ("run_failure_rate_sweep",),
+    "repro.experiments.failure_resilience": ("run_failure_resilience",),
+    "repro.experiments.fig3": ("run_fig3",),
+    "repro.experiments.fig4": ("run_fig4",),
+    "repro.experiments.heterogeneity_gain": ("run_heterogeneity_gain",),
+    "repro.experiments.majorization_study": ("run_majorization_study",),
+    "repro.experiments.minorization_demo": ("run_minorization_demo",),
+    "repro.experiments.moment_ablation": ("run_moment_ablation",),
+    "repro.experiments.params_tables": ("run_table1", "run_table2"),
+    "repro.experiments.protocol_optimality": ("run_protocol_optimality",),
+    "repro.experiments.saturation": ("run_saturation",),
+    "repro.experiments.sensitivity_sweep": ("run_tau_sweep",),
+    "repro.experiments.stream_replay": ("run_stream_replay",),
+    "repro.experiments.table3": ("PAPER_TABLE3_VALUES", "run_table3"),
+    "repro.experiments.table4": ("PAPER_TABLE4_RATIOS", "run_table4"),
+    "repro.experiments.threshold": ("PAPER_THETA", "run_threshold"),
+    "repro.experiments.variance_trials": (
+        "TrialBatch", "collect_trials", "merge_trial_batches",
+        "run_trial_shard", "run_variance_trials", "trial_shards"),
+}
+_EXPORT_MODULE = {name: module for module, names in _LAZY_EXPORTS.items()
+                  for name in names}
+
+
+def __getattr__(name: str):
+    module = _EXPORT_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

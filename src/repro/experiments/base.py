@@ -18,6 +18,7 @@ same shard decomposition, same per-shard seed, same merge order.
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -108,21 +109,49 @@ class ShardSpec:
     merge: Callable[..., ExperimentResult]
 
 
-_REGISTRY: dict[str, Callable[..., ExperimentResult]] = {}
+#: Experiment id -> its runner.  Every id starts out as a lazy
+#: ``"module:function"`` entry; :func:`get_experiment` imports the module
+#: on first lookup and caches the function in place, so listing ids
+#: costs no import and running one imports only its own module (the LP
+#: solver, for instance, loads only with an experiment that solves LPs).
+_REGISTRY: dict[str, Callable[..., ExperimentResult] | str] = {
+    "coded-resilience": "repro.experiments.coded_resilience:run_coded_resilience",
+    "failure-rate-sweep": "repro.experiments.failure_rate_sweep:run_failure_rate_sweep",
+    "failure-resilience": "repro.experiments.failure_resilience:run_failure_resilience",
+    "fig3": "repro.experiments.fig3:run_fig3",
+    "fig4": "repro.experiments.fig4:run_fig4",
+    "heterogeneity-gain": "repro.experiments.heterogeneity_gain:run_heterogeneity_gain",
+    "majorization": "repro.experiments.majorization_study:run_majorization_study",
+    "moment-ablation": "repro.experiments.moment_ablation:run_moment_ablation",
+    "protocol-optimality": "repro.experiments.protocol_optimality:run_protocol_optimality",
+    "saturation": "repro.experiments.saturation:run_saturation",
+    "sec4-example": "repro.experiments.minorization_demo:run_minorization_demo",
+    "stream-replay": "repro.experiments.stream_replay:run_stream_replay",
+    "table1": "repro.experiments.params_tables:run_table1",
+    "table2": "repro.experiments.params_tables:run_table2",
+    "table3": "repro.experiments.table3:run_table3",
+    "table4": "repro.experiments.table4:run_table4",
+    "tau-sweep": "repro.experiments.sensitivity_sweep:run_tau_sweep",
+    "variance-threshold": "repro.experiments.threshold:run_threshold",
+    "variance-trials": "repro.experiments.variance_trials:run_variance_trials",
+}
 _SHARD_SPECS: dict[str, ShardSpec] = {}
 
 
 def register(experiment_id: str, *, shardable: ShardSpec | None = None) -> Callable:
-    """Decorator: add an experiment runner to the registry.
+    """Decorator: mark a function as the runner of ``experiment_id``.
 
-    ``shardable`` optionally declares the experiment's
-    :class:`ShardSpec` so the batch engine can fan its independent
-    pieces out across worker processes.
+    The id must also have its lazy entry in ``_REGISTRY`` — the
+    decorator never adds one, so importing a module is not what makes
+    an experiment known.  It rejects an id whose entry names (or has
+    resolved to) a different function.  ``shardable`` optionally
+    declares the experiment's :class:`ShardSpec` so the batch engine can
+    fan its independent pieces out across worker processes.
     """
     def wrap(func: Callable[..., ExperimentResult]) -> Callable[..., ExperimentResult]:
-        if experiment_id in _REGISTRY:
+        entry = _REGISTRY.get(experiment_id, func)
+        if entry is not func and entry != f"{func.__module__}:{func.__qualname__}":
             raise ExperimentError(f"duplicate experiment id {experiment_id!r}")
-        _REGISTRY[experiment_id] = func
         if shardable is not None:
             _SHARD_SPECS[experiment_id] = shardable
         func.experiment_id = experiment_id  # type: ignore[attr-defined]
@@ -131,18 +160,23 @@ def register(experiment_id: str, *, shardable: ShardSpec | None = None) -> Calla
 
 
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
-    """Look up a registered experiment runner by id."""
+    """Look up a registered experiment runner by id, importing it if lazy."""
     try:
-        return _REGISTRY[experiment_id]
+        runner = _REGISTRY[experiment_id]
     except KeyError:
         known = ", ".join(sorted(_REGISTRY)) or "(none)"
         raise ExperimentError(
             f"unknown experiment {experiment_id!r}; known: {known}") from None
+    if isinstance(runner, str):
+        module_name, _, attr = runner.partition(":")
+        runner = getattr(importlib.import_module(module_name), attr)
+        _REGISTRY[experiment_id] = runner
+    return runner
 
 
 def get_shard_spec(experiment_id: str) -> ShardSpec | None:
     """The experiment's :class:`ShardSpec`, or None if it is unshardable."""
-    get_experiment(experiment_id)  # raise on unknown ids
+    get_experiment(experiment_id)  # raise on unknown ids; import the runner
     return _SHARD_SPECS.get(experiment_id)
 
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
@@ -114,6 +113,8 @@ def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
                             _positions(phi, n), enforce_separation)
     b_ub = np.full(A_ub.shape[0], float(lifespan))
 
+    from scipy.optimize import linprog  # deferred: ~0.2 s, LP callers only
+
     result = linprog(c=-np.ones(n), A_ub=A_ub, b_ub=b_ub,
                      bounds=[(0.0, None)] * n, method="highs")
     if not result.success:  # pragma: no cover - w = 0 is always feasible
@@ -157,6 +158,8 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
     b_ub = np.full(A_all.shape[1], float(lifespan))
     c_obj = -np.ones(n)
     bounds = [(0.0, None)] * n
+
+    from scipy.optimize import linprog  # deferred: ~0.2 s, LP callers only
 
     allocations: list[WorkAllocation] = []
     for (sigma, phi), A_ub in zip(validated, A_all):

@@ -1,0 +1,132 @@
+"""Cold-start import hygiene: each command imports only what it runs.
+
+The paper's quantities (eq. (1)'s X, Proposition 1's HECR, the FIFO
+allocation) need only numpy; SciPy backs the LP scheduler alone.  These
+tests boot fresh interpreters — this one has long since imported
+everything — and check that the CLI, the service and the stream twin
+come up without ``scipy`` or any experiment runner module, and that the
+first LP allocation loads the solver on demand and answers exactly as
+the library does.
+"""
+
+import importlib
+import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.experiments
+from repro.core.params import PAPER_TABLE1
+from repro.core.profile import Profile
+from repro.experiments import base
+from repro.io import allocation_to_dict
+from repro.protocols.general import lp_allocation
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: Prints the ``scipy`` modules and the experiment runner modules
+#: loaded so far, as one JSON line.
+_LOADED = (
+    "import json, sys\n"
+    "from repro.experiments import base\n"
+    "runners = {entry.partition(':')[0] for entry in base._REGISTRY.values()\n"
+    "           if isinstance(entry, str)}\n"
+    "print(json.dumps({\n"
+    "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+    "    'runners': sorted(runners & set(sys.modules))}))\n"
+)
+
+
+def _python(code: str, tmp_path) -> str:
+    """Run ``code`` in a fresh interpreter; return its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["repro.cli", "repro.service.app",
+                                    "repro.stream"])
+def test_import_loads_no_solver_and_no_runner(module, tmp_path):
+    loaded = json.loads(_python(f"import {module}\n" + _LOADED, tmp_path))
+    assert loaded == {"scipy": [], "runners": []}
+
+
+def test_cli_list_loads_no_solver_and_no_runner(tmp_path):
+    code = ("from repro.cli import main\n"
+            "assert main(['list']) == 0\n" + _LOADED)
+    assert json.loads(_python(code, tmp_path)) == {"scipy": [], "runners": []}
+
+
+def test_service_answers_without_solver_until_first_lp(tmp_path):
+    code = f"""
+import json, sys
+from repro.obs.metrics import MetricsRegistry
+from repro.service import ServiceConfig, ServiceThread
+
+def scipy_loaded():
+    return any(m.split('.')[0] == 'scipy' for m in sys.modules)
+
+config = ServiceConfig(port=0, result_cache_dir={str(tmp_path / 'cache')!r})
+profile = [1.0, 0.5, 0.25]
+with ServiceThread(config, registry=MetricsRegistry()) as server:
+    with server.client() as client:
+        client.healthz()
+        client.x(profile)
+        client.hecr(profile)
+        client.allocate(profile, lifespan=100.0, protocol='fifo')
+        before = scipy_loaded()
+        lp = client.allocate(profile, lifespan=100.0, protocol='lp')
+print(json.dumps({{'before': before, 'after': scipy_loaded(), 'lp': lp}}))
+"""
+    out = json.loads(_python(code, tmp_path))
+    assert out["before"] is False
+    assert out["after"] is True
+    allocation = lp_allocation(Profile([1.0, 0.5, 0.25]), PAPER_TABLE1, 100.0,
+                               (0, 1, 2), (0, 1, 2))
+    assert out["lp"] == {"allocation": allocation_to_dict(allocation),
+                         "total_work": float(allocation.w.sum())}
+
+
+class TestLazyRegistry:
+    """Every ``@register`` runner has exactly one lazy entry, and back."""
+
+    @staticmethod
+    def _registered_runners() -> dict[str, list[str]]:
+        """Import every experiments module; id -> ``module:function``s."""
+        package = repro.experiments
+        found: dict[str, list[str]] = {}
+        for info in pkgutil.iter_modules(package.__path__):
+            name = f"{package.__name__}.{info.name}"
+            module = importlib.import_module(name)
+            for attr, obj in vars(module).items():
+                if (inspect.isfunction(obj) and obj.__module__ == name
+                        and hasattr(obj, "experiment_id")):
+                    found.setdefault(obj.experiment_id, []).append(
+                        f"{name}:{attr}")
+        return found
+
+    def test_every_registration_has_exactly_its_lazy_entry(self):
+        registered = self._registered_runners()
+        assert all(len(runners) == 1 for runners in registered.values()), (
+            registered)
+        assert sorted(registered) == base.list_experiments()
+        for experiment_id, (entry,) in registered.items():
+            module_name, _, attr = entry.partition(":")
+            runner = base.get_experiment(experiment_id)
+            assert (runner.__module__, runner.__name__) == (module_name, attr)
+            assert runner.experiment_id == experiment_id
+
+    def test_cold_index_equals_index_after_importing_every_module(self, tmp_path):
+        self._registered_runners()
+        cold = _python("import json\n"
+                       "from repro.experiments.base import experiment_index\n"
+                       "print(json.dumps(experiment_index()))", tmp_path)
+        assert json.loads(cold) == base.experiment_index()
