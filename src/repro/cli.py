@@ -44,17 +44,10 @@ from repro.core.hecr import hecr
 from repro.core.measure import work_rate, x_measure
 from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
-from repro.errors import FaultInjectionError, RecoveryError, SimulationError
+from repro.errors import CLIENT_ERRORS, FAULT_ERRORS, error_class
 from repro.experiments import list_experiments
 
 __all__ = ["main", "build_parser"]
-
-#: Exception families the CLI maps to exit code 3 (fault/simulation),
-#: both when raised directly and when reported back by a batch worker
-#: as an ``"ExcName: message"`` item error.
-_FAULT_ERROR_NAMES = ("SimulationError", "FaultInjectionError",
-                      "FaultSpecError", "RecoveryError")
-
 
 def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
     """The batch-engine knobs shared by ``run`` and ``report``."""
@@ -117,13 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="redundancy scheme for coded experiments: "
                           "'replication:<r>' or 'mds:<k>/<n>' (see "
                           "docs/FAULTS.md § Proactive redundancy)")
-    run.add_argument("--engine", choices=("auto", "events", "analytic"),
-                     default=None,
-                     help="simulation engine: 'auto' takes the analytic "
-                          "fast path for fault-free unobserved runs, "
-                          "'events'/'analytic' force one engine for every "
-                          "simulation (default: auto, or $REPRO_SIM_ENGINE; "
-                          "see docs/PERFORMANCE.md)")
     run.add_argument("--no-store", action="store_true",
                      help="do not record this run in the run-history store "
                           "($REPRO_OBS_DIR or the platform state home)")
@@ -183,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="experiment result-cache directory, where "
                             "dispatch dedup claims live too (default: "
                             "$REPRO_CACHE_DIR or the platform cache home)")
-    serve.add_argument("--engine", choices=("auto", "events", "analytic"),
-                       default=None,
-                       help="force a simulation engine for the server "
-                            "process and its dispatch workers (default: "
-                            "process default / $REPRO_SIM_ENGINE)")
     serve.add_argument("--log-level",
                        choices=("debug", "info", "warning", "error"),
                        default="warning",
@@ -452,7 +433,7 @@ def _failure_exit_code(batch) -> int:
     ordinary experiment bug); 1 otherwise."""
     if not batch.failures:
         return 0
-    if all((item.error or "").split(":", 1)[0] in _FAULT_ERROR_NAMES
+    if all(issubclass(error_class(item.error or ""), FAULT_ERRORS)
            for item in batch.failures):
         return 3
     return 1
@@ -492,20 +473,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except CodedSchemeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    if args.engine == "analytic" and args.faults:
-        print("error: --engine analytic cannot run a --faults scenario — "
-              "fault timelines require the event engine; drop --engine or "
-              "use --engine auto/events", file=sys.stderr)
-        return 3
-    if args.engine:
-        import os
-
-        from repro.simulation.runner import set_default_engine
-        # Both halves matter: set_default_engine() covers in-process runs
-        # (--jobs 1), the environment variable covers batch worker
-        # processes, which re-read it at import.
-        os.environ["REPRO_SIM_ENGINE"] = args.engine
-        set_default_engine(args.engine)
     if args.faults:
         # Validate the spec before any work: a malformed clause raises
         # FaultSpecError, which main() maps to exit code 3.
@@ -590,7 +557,6 @@ def _store_cli_run(args, batch, experiment_ids, kwargs_by_id, tracer,
     try:
         from repro.batch.cache import cache_key
         from repro.obs import RunStore, default_store_path, default_registry
-        from repro.simulation.runner import default_engine
 
         store = RunStore(default_store_path())
         run_id = store.record_run(
@@ -599,7 +565,6 @@ def _store_cli_run(args, batch, experiment_ids, kwargs_by_id, tracer,
             cache_key=(cache_key(experiment_ids[0],
                                  kwargs_by_id[experiment_ids[0]])
                        if len(experiment_ids) == 1 else None),
-            engine=args.engine or default_engine(),
             status="ok" if exit_code == 0 else "failed",
             wall_seconds=batch.wall_seconds,
             metrics=default_registry().snapshot(),
@@ -624,10 +589,8 @@ def _store_cli_run(args, batch, experiment_ids, kwargs_by_id, tracer,
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` subcommand: exit 0 on clean shutdown, 1 when the
     bind fails, 2 for an invalid configuration (e.g. ``--workers 2`` on
-    a platform without ``SO_REUSEPORT``), 3 for engine/simulation
-    errors (e.g. a bad --engine or $REPRO_SIM_ENGINE surfacing at
-    boot), 4 when a worker's respawn budget is exhausted under
-    ``--workers``."""
+    a platform without ``SO_REUSEPORT``), 4 when a worker's respawn
+    budget is exhausted under ``--workers``."""
     import logging
 
     from repro.errors import InvalidParameterError
@@ -640,7 +603,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         rate=args.rate, burst=args.burst, deadline=args.deadline,
         cache_entries=args.cache_entries, cache_ttl=args.cache_ttl,
         jobs=args.jobs, no_result_cache=args.no_cache,
-        result_cache_dir=args.cache_dir, engine=args.engine,
+        result_cache_dir=args.cache_dir,
         no_store=args.no_store, store_dir=args.store_dir,
         slo_latency=args.slo_latency, slo_objective=args.slo_objective,
         log_level=args.log_level,
@@ -1106,18 +1069,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
     Exit codes: 0 success; 1 experiment failure (or a ``serve`` bind
-    failure); 2 unknown experiment or unparseable input; 3
-    fault/simulation errors (malformed ``--faults`` specs,
-    :class:`~repro.errors.SimulationError` and the fault/recovery error
-    family) — reported as one stderr line, not a traceback.
+    failure); 2 unknown experiment or invalid input
+    (:data:`~repro.errors.CLIENT_ERRORS`); 3 fault/simulation errors
+    (:data:`~repro.errors.FAULT_ERRORS`, malformed ``--faults`` specs
+    included) — reported as one stderr line, not a traceback.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _dispatch(parser, args)
-    except (SimulationError, FaultInjectionError, RecoveryError) as exc:
+    except FAULT_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except CLIENT_ERRORS as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 def _dispatch(parser: argparse.ArgumentParser,

@@ -132,7 +132,7 @@ def simulate_coded(plan: CodedPlan,
                    faults: "FaultScenario | MaterializedFaults | str | None" = None,
                    *, results_policy: str = "greedy",
                    observer: SimulationObserver | None = None,
-                   engine: str | None = None) -> CodedOutcome:
+                   engine: str = "auto") -> CodedOutcome:
     """Execute a coded plan under ``faults`` with fastest-k accounting.
 
     The share layout runs through :func:`simulate_allocation` with the

@@ -23,6 +23,9 @@ __all__ = [
     "CodedSchemeError",
     "StreamError",
     "StreamEventError",
+    "CLIENT_ERRORS",
+    "FAULT_ERRORS",
+    "error_class",
 ]
 
 
@@ -140,3 +143,29 @@ class CodedSchemeError(ProtocolError):
     work is laid out across the cluster, and the CLI/service map it to
     the same invalid-input surface (exit code 2 / HTTP 400).
     """
+
+
+#: Errors that mean "the input was invalid", not "the library broke":
+#: the service answers them with HTTP 400.
+CLIENT_ERRORS: tuple[type[ReproError], ...] = (
+    InvalidParameterError, InvalidProfileError, InfeasibleScheduleError,
+    ProtocolError, FaultSpecError, StreamError)
+
+#: The fault/simulation family: CLI exit code 3, and HTTP 500 labelled
+#: ``"family": "fault"`` (a malformed ``--faults`` spec is in both
+#: tuples; the service checks :data:`CLIENT_ERRORS` first).
+FAULT_ERRORS: tuple[type[ReproError], ...] = (
+    SimulationError, FaultInjectionError, RecoveryError)
+
+
+def error_class(error: str) -> type[Exception]:
+    """The error class named by an ``"ExcName: message"`` string.
+
+    That is how a batch item reports its worker's exception.  Returns
+    :class:`Exception` when the name is not one of this module's
+    classes.
+    """
+    cls = globals().get(error.split(":", 1)[0])
+    if isinstance(cls, type) and issubclass(cls, ReproError):
+        return cls
+    return Exception

@@ -50,11 +50,9 @@ from typing import Any, Awaitable, Callable
 from repro import __version__
 from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
-from repro.errors import (CodedSchemeError, FaultInjectionError,
-                          FaultSpecError, InfeasibleScheduleError,
+from repro.errors import (CLIENT_ERRORS, FAULT_ERRORS, CodedSchemeError,
                           InvalidParameterError, InvalidProfileError,
-                          ProtocolError, RecoveryError, SimulationError,
-                          StreamError, StreamEventError)
+                          ProtocolError, StreamEventError, error_class)
 from repro.experiments.base import experiment_index, list_experiments
 from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -71,13 +69,6 @@ __all__ = ["ReproService", "parse_eval_payload"]
 
 _JSON = "application/json"
 _PROM = "text/plain; version=0.0.4; charset=utf-8"
-
-#: Library errors that mean "your request was invalid", not "we broke".
-_CLIENT_ERRORS = (InvalidParameterError, InvalidProfileError, ProtocolError,
-                  InfeasibleScheduleError, FaultSpecError, StreamEventError,
-                  StreamError)
-#: The CLI's exit-code-3 family, labelled for scripted clients.
-_FAULT_ERRORS = (SimulationError, FaultInjectionError, RecoveryError)
 
 #: The current request's span id, visible to handlers running inside
 #: the request's asyncio task (set by ``_respond``).  Handlers hand it
@@ -109,10 +100,18 @@ def _parse_params(obj: Any) -> ModelParams:
                        delta=obj.get("delta", PAPER_TABLE1.delta))
 
 
+def _all_numbers(values: list | tuple) -> bool:
+    """Every element is a number (int or float) and none is a bool."""
+    kinds = set(map(type, values))  # one C pass; a handful of types
+    return bool not in kinds and all(issubclass(k, (int, float))
+                                     for k in kinds)
+
+
 def _parse_profile(obj: Any) -> tuple[float, ...]:
-    if not isinstance(obj, (list, tuple)) or not obj:
+    if not isinstance(obj, (list, tuple)) or not obj \
+            or not _all_numbers(obj):
         raise InvalidProfileError(
-            "profile must be a non-empty array of positive rho values")
+            "profile must be a non-empty array of positive rho numbers")
     profile = Profile(obj)  # validates positivity / finiteness
     return tuple(float(r) for r in profile)
 
@@ -133,7 +132,8 @@ def _parse_order(obj: Any, n: int, name: str) -> tuple[int, ...] | None:
     if obj is None:
         return None
     if not isinstance(obj, (list, tuple)) \
-            or sorted(int(i) for i in obj if isinstance(i, int)) != list(range(n)):
+            or sorted(i for i in obj if isinstance(i, int)
+                      and not isinstance(i, bool)) != list(range(n)):
         raise ProtocolError(
             f"{name} must be a permutation of 0..{n - 1}, got {obj!r}")
     return tuple(int(i) for i in obj)
@@ -300,6 +300,18 @@ def _error_response(status: int, message: str,
     return _json_response(status, {"error": message, **extra}, headers=headers)
 
 
+def _classified_error(cls: type[BaseException], message: str,
+                      **extra: Any) -> _Response:
+    """A failed request's answer by error class: a client error is
+    ``400``; anything else is ``500``, labelled ``"family": "fault"``
+    for the fault/simulation family."""
+    if issubclass(cls, CLIENT_ERRORS):
+        return _error_response(400, message, **extra)
+    if issubclass(cls, FAULT_ERRORS):
+        return _error_response(500, message, family="fault", **extra)
+    return _error_response(500, message, **extra)
+
+
 class ReproService:
     """The asyncio HTTP server around the library's hot queries.
 
@@ -373,18 +385,6 @@ class ReproService:
         socket — how supervisor workers share one port; ``None`` binds
         ``config.host:config.port``.
         """
-        if self.config.engine is not None:
-            import os
-
-            from repro.simulation.runner import set_default_engine
-            # Mirror the CLI's run --engine contract: the setter covers
-            # in-process evaluation, the environment variable covers
-            # experiment-dispatch worker processes.
-            set_default_engine(self.config.engine)
-            os.environ["REPRO_SIM_ENGINE"] = self.config.engine
-        else:
-            from repro.simulation.runner import default_engine
-            default_engine()  # surface a bad $REPRO_SIM_ENGINE at boot
         if not self.config.no_result_cache:
             from repro.batch import ResultCache, default_cache_dir
             self._result_cache = ResultCache(
@@ -597,13 +597,9 @@ class ReproService:
             response = await self._run_with_deadline(handler, request)
         except asyncio.TimeoutError:
             response = _error_response(504, "deadline exceeded")
-        except _CLIENT_ERRORS as exc:
-            response = _error_response(400, f"{type(exc).__name__}: {exc}")
-        except _FAULT_ERRORS as exc:
-            response = _error_response(500, f"{type(exc).__name__}: {exc}",
-                                       family="fault")
         except Exception as exc:  # noqa: BLE001 - the server must answer
-            response = _error_response(500, f"{type(exc).__name__}: {exc}")
+            response = _classified_error(type(exc),
+                                         f"{type(exc).__name__}: {exc}")
         finally:
             if sheddable:
                 self.admission.release()
@@ -773,18 +769,14 @@ class ReproService:
                 kind="experiment", label=experiment_id,
                 trace_id=self.tracer.trace_id,
                 cache_key=cache_key(experiment_id, kwargs),
-                engine=self.config.engine,
                 status="error" if error is not None else "ok",
                 wall_seconds=item.wall_seconds,
                 extra={"cached": item.cached, "shards": item.shards,
                        "jobs": self.config.jobs, "span_id": trace_parent,
                        "dedup": item.outcome, "error": error})
         if error is not None:
-            family = error.split(":", 1)[0]
-            status = 400 if family in (
-                "InvalidParameterError", "InvalidProfileError",
-                "FaultSpecError", "ProtocolError") else 500
-            return _error_response(status, error, experiment=experiment_id)
+            return _classified_error(error_class(error), error,
+                                     experiment=experiment_id)
         return _json_response(200, {
             "experiment": experiment_id,
             "cached": item.cached,

@@ -11,13 +11,9 @@ that queue while one batch solves become the next.  Within a batch:
   every waiter, which is what turns a thundering herd on a hot query
   into a single evaluation;
 * requests needing ``X(P)`` share one evaluation per distinct
-  ``(profile, params)`` in the batch: the solver first *primes* its
-  float pool by stacking every pool-missing profile of a common
-  ``(params, n)`` into one
-  :class:`~repro.core.batch_kernels.ProfileBatch` and reducing eq. (1)
-  columnar, one vectorised pass per micro-batch — each primed float is
-  bit-identical to a fresh :func:`~repro.core.measure.x_measure` of its
-  row;
+  ``(profile, params)``, in the batch and across batches: the solver
+  keeps an LRU pool of :func:`~repro.core.measure.x_measure` floats,
+  and a pool miss runs that kernel once;
 * LP allocation requests against the same cluster are grouped and
   solved via :func:`~repro.protocols.general.lp_allocation_many`,
   which is bit-identical to per-pair :func:`lp_allocation` solves and
@@ -44,9 +40,6 @@ import time
 from collections import OrderedDict
 from typing import Any, Sequence
 
-import numpy as np
-
-from repro.core.batch_kernels import ProfileBatch
 from repro.core.hecr import hecr
 from repro.core.measure import work_production, work_rate, x_measure
 from repro.core.params import ModelParams
@@ -95,61 +88,27 @@ def request_key(kind: str, payload: dict[str, Any]) -> tuple:
 class _XPool:
     """LRU pool of X-measure floats keyed by (profile, params).
 
-    Every pooled float is bit-identical to a fresh ``x_measure`` of the
-    same profile (whether it arrived through the scalar :meth:`x` path
-    or a :meth:`seed` from a shared :class:`ProfileBatch` pass), so
-    serving repeated profiles from the pool cannot move any response
-    float — it only skips re-reducing eq. (1) for hot profiles.
-
-    Counting contract: each :meth:`x` lookup records exactly one miss
-    (the profile had to be evaluated) or one hit (an earlier request
-    already paid for it).  A :meth:`seed` marks its entry *fresh*: the
-    first :meth:`x` that consumes it records the miss the batch pass
-    performed on its behalf, so the counters read the same whether a
-    profile was evaluated columnar or scalar.
+    A miss runs ``x_measure`` and pools its float, so serving repeated
+    profiles from the pool cannot move any response float — it only
+    skips re-reducing eq. (1) for hot profiles.  Each :meth:`x` lookup
+    records exactly one hit or one miss.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
         self.max_entries = max(1, int(max_entries))
         self._entries: OrderedDict[tuple, float] = OrderedDict()
-        self._fresh: set[tuple] = set()
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def key(profile: tuple[float, ...], params: ModelParams) -> tuple:
-        return (profile, params.tau, params.pi, params.delta)
-
-    def _store(self, key: tuple, x: float) -> None:
-        self._entries[key] = x
-        while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._fresh.discard(evicted)
-
-    def peek(self, profile: tuple[float, ...],
-             params: ModelParams) -> float | None:
-        """Non-counting lookup — used to decide what a batch pass must prime."""
-        return self._entries.get(self.key(profile, params))
-
-    def seed(self, profile: tuple[float, ...], params: ModelParams,
-             x: float) -> None:
-        """Install a batch-computed X; the first consumer records the miss."""
-        key = self.key(profile, params)
-        if key not in self._entries:
-            self._fresh.add(key)
-        self._store(key, x)
-
     def x(self, profile: tuple[float, ...], params: ModelParams) -> float:
-        key = self.key(profile, params)
+        key = (profile, params.tau, params.pi, params.delta)
         x = self._entries.get(key)
         if x is None:
             self.misses += 1
             x = x_measure(profile, params)
-            self._store(key, x)
-        elif key in self._fresh:
-            self._fresh.discard(key)
-            self.misses += 1
-            self._entries.move_to_end(key)
+            self._entries[key] = x
+            if len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
         else:
             self.hits += 1
             self._entries.move_to_end(key)
@@ -165,46 +124,6 @@ class BatchSolver:
         self.collapsed = 0
         #: LP solves that rode a shared lp_allocation_many call.
         self.lp_grouped = 0
-        #: Distinct profiles whose X came from a shared ProfileBatch pass.
-        self.batch_evaluated = 0
-
-    # -- columnar X priming -------------------------------------------
-    def _prime_x_family(self, unique: "OrderedDict[tuple, dict]") -> None:
-        """Evaluate the batch's pool-missing profiles columnar, in one pass.
-
-        Every x-family request (``x``/``work``/``hecr``) whose profile is
-        not already pooled is stacked with its same-``(params, n)``
-        companions into one :class:`ProfileBatch`, whose per-row X is
-        bit-identical to ``x_measure`` of the row — so seeding the pool
-        from it cannot move any response float.  If a group's
-        construction or reduction fails (e.g. one profile is
-        non-positive), the group is simply *not* seeded: each member
-        then falls back to the scalar pool path inside
-        :meth:`_eval_x_family`'s per-request try block, which raises the
-        exact per-request error a lone solve would have raised —
-        priming never weakens error isolation.
-        """
-        groups: OrderedDict[tuple, OrderedDict[tuple, dict]] = OrderedDict()
-        for key, payload in unique.items():
-            if key[0] == "allocate":
-                continue
-            profile = payload["profile"]
-            params = payload["params"]
-            if self.xpool.peek(profile, params) is not None:
-                continue
-            gkey = (params.tau, params.pi, params.delta, len(profile))
-            groups.setdefault(gkey, OrderedDict()).setdefault(profile, payload)
-        for members in groups.values():
-            profiles = list(members)
-            params = next(iter(members.values()))["params"]
-            try:
-                xs = ProfileBatch(
-                    np.asarray(profiles, dtype=float), copy=False).x(params)
-            except Exception:
-                continue  # scalar fallback per request; see docstring
-            self.batch_evaluated += len(profiles)
-            for profile, x in zip(profiles, xs):
-                self.xpool.seed(profile, params, float(x))
 
     # -- per-kind evaluation ------------------------------------------
     def _eval_x_family(self, kind: str, payload: dict[str, Any]) -> dict:
@@ -307,7 +226,6 @@ class BatchSolver:
         self.collapsed += len(requests) - len(unique)
 
         outcomes: dict[tuple, tuple[bool, Any]] = {}
-        self._prime_x_family(unique)
         self._solve_lp_groups(unique, outcomes)
         for key, payload in unique.items():
             if key in outcomes:

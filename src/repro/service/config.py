@@ -53,10 +53,6 @@ class ServiceConfig:
         :class:`~repro.batch.cache.ResultCache` location / kill switch.
         Dispatch single-flight dedup lives on that cache: with it on,
         concurrent identical dispatches (in any worker) compute once.
-    engine:
-        Optional simulation engine forced for the whole process (and
-        exported via ``$REPRO_SIM_ENGINE`` so dispatch workers inherit
-        it); ``None`` keeps the process default.
     max_body_bytes, max_header_bytes:
         Hard HTTP limits; oversized requests are rejected with ``413``.
     no_store, store_dir:
@@ -111,7 +107,6 @@ class ServiceConfig:
     jobs: int = 1
     no_result_cache: bool = False
     result_cache_dir: str | None = None
-    engine: str | None = None
     max_body_bytes: int = 1 << 20
     max_header_bytes: int = 32 << 10
     no_store: bool = False

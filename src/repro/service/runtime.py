@@ -36,8 +36,8 @@ def run_service(config: ServiceConfig, *,
 
     ``ready`` (if given) is called once the socket is bound, with the
     running service — the CLI uses it to print the listen address.
-    Raises ``OSError`` if the bind fails and lets library errors (bad
-    engine, bad config) propagate for the CLI's exit-code mapping.
+    Raises ``OSError`` if the bind fails and lets library errors
+    propagate for the CLI's exit-code mapping.
     """
     async def main() -> None:
         service = ReproService(config, registry=registry, tracer=tracer)

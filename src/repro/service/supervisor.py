@@ -23,7 +23,7 @@ ReproService` inside a forked worker:
   systematically broken — the supervisor tears the fleet down and
   exits ``4`` with one clear stderr line.  A worker that fails *before*
   becoming ready is a configuration problem, reported immediately with
-  the CLI's usual exit-code mapping (no respawn storm).
+  exit code ``1`` (no respawn storm).
 * **Fan-down.**  SIGTERM/SIGINT to the supervisor forwards SIGTERM to
   every worker; each drains (stop accepting → finish in-flight → 503
   stragglers) within ``drain_timeout`` and the supervisor reaps them,
@@ -72,11 +72,6 @@ BURST_SHARE = 0.25
 
 #: Supervisor exit code: a worker kept crashing past its respawn budget.
 EXIT_RESPAWN_BUDGET = 4
-
-#: Startup-error type names that map to the CLI's exit-code-3 family.
-_FAULT_ERROR_NAMES = frozenset(
-    {"SimulationError", "FaultInjectionError", "RecoveryError"})
-
 
 def _log(message: str) -> None:
     print(f"repro-hetero supervisor: {message}", file=sys.stderr, flush=True)
@@ -228,7 +223,7 @@ class Supervisor:
     """Owns the worker fleet of one ``serve --workers N`` invocation.
 
     ``run()`` blocks until shutdown and returns the process exit code
-    (``0`` clean, ``1``/``3`` worker startup failure, ``4`` respawn
+    (``0`` clean, ``1`` worker startup failure, ``4`` respawn
     budget exhausted).  For in-process callers (tests, benchmarks) use
     ``install_signals=False``, run :meth:`run` on a thread, await
     :meth:`wait_ready`, and later call :meth:`initiate_stop`.
@@ -369,8 +364,7 @@ class Supervisor:
                 self.exit_reason = f"startup: {failure}"
                 self._ready.set()
                 self._fan_down()
-                name = (self._startup_error or ("", ""))[0]
-                return 3 if name in _FAULT_ERROR_NAMES else 1
+                return 1
 
         if self.config.metrics_port is not None:
             self._start_metrics_endpoint()

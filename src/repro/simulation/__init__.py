@@ -15,8 +15,6 @@ from repro.simulation.network import SingleChannelNetwork, Transit
 from repro.simulation.fastpath import analytic_records, analytic_simulation
 from repro.simulation.runner import (
     SimulationResult,
-    default_engine,
-    set_default_engine,
     simulate_allocation,
     simulate_protocol,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "SimulationResult",
     "simulate_allocation",
     "simulate_protocol",
-    "default_engine",
-    "set_default_engine",
     "analytic_records",
     "analytic_simulation",
     "UtilizationSummary",

@@ -16,7 +16,6 @@ budgets), which the integration test suite verifies over random clusters.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,60 +31,9 @@ from repro.simulation.engine import Simulator
 from repro.simulation.entities import ResultSequencer, Server, Worker, WorkerRecord
 from repro.simulation.network import SingleChannelNetwork
 
-__all__ = ["SimulationResult", "simulate_allocation", "simulate_protocol",
-           "set_default_engine", "default_engine"]
+__all__ = ["SimulationResult", "simulate_allocation", "simulate_protocol"]
 
 _ENGINES = ("auto", "events", "analytic")
-
-#: Process default for ``simulate_allocation(engine=None)``.  ``None``
-#: means "not yet resolved": the first :func:`default_engine` call reads
-#: ``$REPRO_SIM_ENGINE`` (how the CLI's ``--engine`` choice reaches
-#: batch worker processes, which inherit the environment, not the
-#: parent's globals) and **validates** it, so a typo'd value fails with
-#: one clear error naming the variable instead of surfacing as a
-#: mystery deep inside the first simulation.
-_default_engine: str | None = None
-
-
-def default_engine() -> str:
-    """The engine used when ``simulate_allocation`` gets ``engine=None``.
-
-    Resolves (and caches) ``$REPRO_SIM_ENGINE`` on first use; raises
-    :class:`~repro.errors.SimulationError` if the variable holds
-    anything but ``auto``/``events``/``analytic``.
-    """
-    global _default_engine
-    if _default_engine is None:
-        candidate = os.environ.get("REPRO_SIM_ENGINE", "auto")
-        if candidate not in _ENGINES:
-            raise SimulationError(
-                f"invalid $REPRO_SIM_ENGINE value {candidate!r}; "
-                f"expected one of {_ENGINES}")
-        _default_engine = candidate
-    return _default_engine
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide default engine; returns the previous default.
-
-    ``"auto"`` (the initial default) takes the analytic fast path for
-    every fault-free, unobserved run and the event engine otherwise;
-    ``"events"``/``"analytic"`` force one engine for all runs that do
-    not pass an explicit ``engine=``.  The initial value honours the
-    ``REPRO_SIM_ENGINE`` environment variable, which is how the CLI's
-    ``--engine`` flag crosses into batch worker processes.
-    """
-    global _default_engine
-    if engine not in _ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {_ENGINES}")
-    # Resolve the previous value before overwriting so callers can
-    # restore it; an unresolved default is reported as the environment's
-    # raw value (restoring a bad one re-raises, which is the point).
-    previous = (_default_engine if _default_engine is not None
-                else os.environ.get("REPRO_SIM_ENGINE", "auto"))
-    _default_engine = engine
-    return previous
 
 
 @dataclass(frozen=True)
@@ -157,7 +105,7 @@ def simulate_allocation(allocation: WorkAllocation, *,
                         faults: "FaultScenario | MaterializedFaults | str | None" = None,
                         skip_failed_results: bool = False,
                         observer: SimulationObserver | None = None,
-                        engine: str | None = None) -> SimulationResult:
+                        engine: str = "auto") -> SimulationResult:
     """Execute a work allocation at event granularity — or analytically.
 
     Parameters
@@ -170,14 +118,11 @@ def simulate_allocation(allocation: WorkAllocation, *,
         :mod:`repro.simulation.fastpath`; raises
         :class:`~repro.errors.SimulationError` when combined with fault
         injection (the analytic timeline is fault-free by construction).
-        ``"auto"`` — analytic whenever the run is fault-free and no
-        per-event observer is attached (explicitly or via the ambient
-        observation's tracer); the event engine otherwise.  An ambient
-        *metrics-only* observation keeps the fast path and counts its
-        use in the ``sim_fastpath_hits_total`` counter.
-        ``None`` (default) — use :func:`default_engine` (``"auto"``
-        unless overridden by :func:`set_default_engine` or the
-        ``REPRO_SIM_ENGINE`` environment variable).
+        ``"auto"`` (default) — analytic whenever the run is fault-free
+        and no per-event observer is attached (explicitly or via the
+        ambient observation's tracer); the event engine otherwise.  An
+        ambient *metrics-only* observation keeps the fast path and
+        counts its use in the ``sim_fastpath_hits_total`` counter.
     results_policy:
         ``"late"`` — results use the contiguous end-of-lifespan slots of
         the paper's layout; ``"greedy"`` — results go as early as the
@@ -211,8 +156,6 @@ def simulate_allocation(allocation: WorkAllocation, *,
     """
     if results_policy not in ("late", "greedy"):
         raise SimulationError(f"unknown results_policy {results_policy!r}")
-    if engine is None:
-        engine = default_engine()
     if engine not in _ENGINES:
         raise SimulationError(
             f"unknown engine {engine!r}; expected one of {_ENGINES}")
@@ -429,7 +372,7 @@ def _record_run_metrics(registry, network: SingleChannelNetwork,
 def simulate_protocol(protocol: Protocol, profile: Profile, params: ModelParams,
                       lifespan: float, *, results_policy: str = "late",
                       observer: SimulationObserver | None = None,
-                      engine: str | None = None) -> SimulationResult:
+                      engine: str = "auto") -> SimulationResult:
     """Allocate with ``protocol`` and execute the result in the simulator."""
     allocation = protocol.allocate(profile, params, lifespan)
     return simulate_allocation(allocation, results_policy=results_policy,

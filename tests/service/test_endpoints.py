@@ -73,7 +73,12 @@ class TestEvaluationEndpoints:
                             {"profile": [1.0, -2.0]},
                             {"profile": PROFILE, "params": {"zap": 1}},
                             {"profile": PROFILE, "lifespan": -5.0,
-                             "protocol": "fifo"}):
+                             "protocol": "fifo"},
+                            {"profile": [True, 0.5]},
+                            {"profile": ["0.5"]},
+                            {"profile": [0.5, None]},
+                            {"profile": PROFILE, "lifespan": 50.0,
+                             "startup_order": [True, 0, 2]}):
                 path = ("/v1/allocate" if "lifespan" in payload else "/v1/x")
                 with pytest.raises(ServiceError) as excinfo:
                     client.request("POST", path, payload)
@@ -143,6 +148,41 @@ class TestOperationalEndpoints:
         # One store, one write: the result entry and nothing else.
         assert len(list(cache_dir.glob("sec4-example-*.json"))) == 1
         assert list(cache_dir.glob("dispatch-*")) == []
+
+    def test_dispatch_errors_are_classified_by_error_family(
+            self, tmp_path, monkeypatch):
+        from repro.errors import SimulationError
+        from repro.experiments import base
+
+        def raises(exc):
+            def experiment():
+                raise exc
+            return experiment
+        monkeypatch.setitem(base._REGISTRY, "keyerror-probe",
+                            raises(KeyError("boom")))
+        monkeypatch.setitem(base._REGISTRY, "simerror-probe",
+                            raises(SimulationError("stuck")))
+        config = ServiceConfig(port=0, no_store=True, no_result_cache=True)
+        with ServiceThread(config, registry=MetricsRegistry()) as thread:
+            with thread.client() as client:
+                statuses = {}
+                for experiment_id, kwargs in (
+                        ("coded-resilience", {"scheme": "mds:5/2"}),
+                        ("keyerror-probe", {}),
+                        ("simerror-probe", {})):
+                    with pytest.raises(ServiceError) as excinfo:
+                        client.run_experiment(experiment_id, **kwargs)
+                    payload = excinfo.value.payload
+                    statuses[experiment_id] = (
+                        excinfo.value.status,
+                        payload["error"].split(":", 1)[0],
+                        payload.get("family"))
+        # CodedSchemeError subclasses ProtocolError: a client error.
+        assert statuses == {
+            "coded-resilience": (400, "CodedSchemeError", None),
+            "keyerror-probe": (500, "KeyError", None),
+            "simerror-probe": (500, "SimulationError", "fault"),
+        }
 
     def test_unknown_experiment_404(self, server):
         with server.client() as client:
@@ -301,30 +341,6 @@ class TestKeepAliveAndFraming:
                 with pytest.raises(ServiceError) as excinfo:
                     client.x([0.5] * 200)
         assert excinfo.value.status == 413
-
-
-class TestServeEngineConfig:
-    def test_bad_engine_fails_at_boot(self, tmp_path):
-        from repro.errors import SimulationError
-        config = ServiceConfig(port=0, engine="warp-drive",
-                               no_result_cache=True)
-        with pytest.raises(SimulationError):
-            ServiceThread(config).start()
-
-    def test_engine_override_reaches_env(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.simulation import runner
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        monkeypatch.setattr(runner, "_default_engine", None)
-        config = ServiceConfig(port=0, engine="analytic",
-                               no_result_cache=True)
-        with ServiceThread(config, registry=MetricsRegistry()):
-            # set for dispatch workers (fork inherits the environment)
-            assert os.environ.get("REPRO_SIM_ENGINE") == "analytic"
-            assert runner.default_engine() == "analytic"
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        monkeypatch.setattr(runner, "_default_engine", None)
 
 
 class TestClientTransport:

@@ -20,6 +20,7 @@ import pytest
 from repro.cli import main
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import MetricsRegistry
+from repro.service.app import ReproService
 from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
 from repro.service.runtime import ServiceThread
@@ -164,17 +165,24 @@ class TestFleet:
         stderr = capfd.readouterr().err
         assert "respawn budget" in stderr and "exhausted" in stderr
 
-    def test_startup_failure_is_fatal_fast_not_a_respawn_storm(self):
-        # Binding an unbindable address fails inside the worker (the
-        # supervisor's placeholder binds 127.0.0.1 fine; the REUSEPORT
-        # child then cannot bind the same port on a mismatched host) —
-        # easier to provoke via a bad engine, which surfaces at boot.
-        running = _RunningSupervisor(
-            _config(workers=1, engine="not-an-engine"))
+    def test_startup_failure_is_fatal_fast_not_a_respawn_storm(
+            self, monkeypatch):
+        # Forked workers inherit the patched start(), so the first
+        # worker fails before it is ready.
+        async def failing_start(self, sock=None):
+            raise OSError("cannot start")
+        monkeypatch.setattr(ReproService, "start", failing_start)
+        running = _RunningSupervisor(_config(workers=2))
+        spawns = []
+        original_spawn = running.supervisor._spawn
+        monkeypatch.setattr(running.supervisor, "_spawn",
+                            lambda slot: (spawns.append(slot.index),
+                                          original_spawn(slot)))
         running._thread.start()
-        assert running.join(30.0) in (1, 3)
-        assert running.supervisor.exit_reason is not None
+        assert running.join(30.0) == 1
         assert running.supervisor.exit_reason.startswith("startup")
+        assert "cannot start" in running.supervisor.exit_reason
+        assert spawns == [0]
 
 
 class TestPortSharing:

@@ -20,11 +20,7 @@ from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import lp_allocation
 from repro.protocols.lifo import lifo_allocation
 from repro.simulation.fastpath import analytic_records, analytic_simulation
-from repro.simulation.runner import (
-    default_engine,
-    set_default_engine,
-    simulate_allocation,
-)
+from repro.simulation.runner import simulate_allocation
 
 _PARAMS = ModelParams(tau=0.01, pi=0.001, delta=1.0)
 _NO_RESULTS = ModelParams(tau=0.01, pi=0.001, delta=0.0)
@@ -179,39 +175,3 @@ class TestDispatch:
         with observe(Observation(registry=registry)):
             simulate_allocation(alloc, engine="events")
         assert registry.counter("sim_fastpath_hits_total", "").value() == 0
-
-    def test_set_default_engine_round_trip(self):
-        previous = set_default_engine("events")
-        try:
-            assert default_engine() == "events"
-            alloc = fifo_allocation(Profile.linear(3), _PARAMS, 50.0)
-            assert simulate_allocation(alloc).events_processed > 0
-        finally:
-            set_default_engine(previous)
-        assert default_engine() == previous
-
-    def test_set_default_engine_rejects_unknown(self):
-        with pytest.raises(SimulationError):
-            set_default_engine("warp")
-
-    def test_invalid_env_engine_fails_fast_with_clear_error(self, monkeypatch):
-        # A typo'd $REPRO_SIM_ENGINE must raise one clear error naming
-        # the variable the moment the default is resolved — not surface
-        # as a mystery deep inside the first simulation of a run.
-        from repro.simulation import runner
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        monkeypatch.setattr(runner, "_default_engine", None)
-        with pytest.raises(SimulationError, match="REPRO_SIM_ENGINE"):
-            runner.default_engine()
-        alloc = fifo_allocation(Profile.linear(3), _PARAMS, 50.0)
-        with pytest.raises(SimulationError, match="REPRO_SIM_ENGINE"):
-            simulate_allocation(alloc)
-
-    def test_valid_env_engine_is_resolved_once(self, monkeypatch):
-        from repro.simulation import runner
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "analytic")
-        monkeypatch.setattr(runner, "_default_engine", None)
-        assert runner.default_engine() == "analytic"
-        # Cached after first resolution: later env mutations don't move it.
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "warp")
-        assert runner.default_engine() == "analytic"

@@ -234,8 +234,18 @@ class TestHecr:
                      "--pi", "0.001", "--delta", "0.5"]) == 0
 
     def test_bad_profile_returns_error_code(self, capsys):
-        assert main(["hecr", "--profile", "1,abc"]) == 2
-        assert "error" in capsys.readouterr().err
+        # Unparseable, then parseable but invalid (a negative rho).
+        for profile in ("1,abc", "1,-1"):
+            assert main(["hecr", "--profile", profile]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error")
+            assert err.count("\n") == 1  # one-line diagnostic, no traceback
+
+    def test_invalid_serve_config_is_one_line_exit_2(self, capsys):
+        assert main(["serve", "--port", "0", "--max-batch", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidParameterError: max_batch")
+        assert err.count("\n") == 1
 
 
 class TestParser:
@@ -319,56 +329,20 @@ class TestFaultFlags:
         assert seq == par
 
 
-class TestEngineFlag:
-    """`run --engine {auto,events,analytic}` selects the simulation
-    engine process-wide (and, via REPRO_SIM_ENGINE, in batch workers)."""
+class TestEngineSelection:
+    """The run picks its own engine: a fault-free untraced run takes the
+    analytic fast path, and ``--trace`` (an ambient tracer) runs the
+    event engine — with the same completed work."""
 
-    @pytest.fixture(autouse=True)
-    def _restore_engine(self, monkeypatch):
-        from repro.simulation.runner import default_engine, set_default_engine
-        monkeypatch.delenv("REPRO_SIM_ENGINE", raising=False)
-        previous = default_engine()
-        yield
-        set_default_engine(previous)
-
-    def test_parses_engine(self):
-        args = build_parser().parse_args(
-            ["run", "table3", "--engine", "analytic"])
-        assert args.engine == "analytic"
-        assert build_parser().parse_args(["run", "table3"]).engine is None
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "table3", "--engine", "warp"])
-
-    def test_engine_sets_process_default_and_env(self, capsys):
-        import os
-
-        from repro.simulation.runner import default_engine
-        assert main(["run", "table3", "--engine", "events"]) == 0
-        assert default_engine() == "events"
-        assert os.environ["REPRO_SIM_ENGINE"] == "events"
-        capsys.readouterr()
-
-    def test_analytic_with_faults_exit_code_3(self, capsys):
-        from repro.simulation.runner import default_engine
-        assert main(["run", "failure-resilience", "--faults", "crash:0@5",
-                     "--engine", "analytic"]) == 3
-        err = capsys.readouterr().err
-        assert "--engine analytic" in err
-        assert "--faults" in err
-        # Refused before any state change.
-        assert default_engine() == "auto"
-
-    def _probe_output(self, capsys, engine):
-        assert main(["run", "sim-probe", "--engine", engine,
-                     "--format", "csv"]) == 0
+    def _probe_output(self, capsys, *flags):
+        assert main(["run", "sim-probe", "--format", "csv", *flags]) == 0
         header, row = capsys.readouterr().out.strip().splitlines()
         assert header == "work,events"
         work, events = row.split(",")
         return float(work), int(events)
 
-    def test_engine_governs_simulations(self, capsys, monkeypatch):
+    def test_trace_runs_the_event_engine(self, capsys, monkeypatch,
+                                          tmp_path):
         from repro.core.params import ModelParams
         from repro.core.profile import Profile
         from repro.experiments import base
@@ -380,7 +354,7 @@ class TestEngineFlag:
             alloc = fifo_allocation(
                 Profile([1.0, 0.5, 0.25]),
                 ModelParams(tau=1e-3, pi=1e-4, delta=1.0), 20.0)
-            result = simulate_allocation(alloc)  # engine=None -> default
+            result = simulate_allocation(alloc)
             return ExperimentResult(
                 experiment_id="sim-probe", title="engine probe",
                 headers=("work", "events"),
@@ -388,12 +362,10 @@ class TestEngineFlag:
                        result.events_processed)])
         monkeypatch.setitem(base._REGISTRY, "sim-probe", sim_probe)
 
-        analytic_work, analytic_events = self._probe_output(capsys, "analytic")
-        events_work, events_events = self._probe_output(capsys, "events")
-        auto_work, auto_events = self._probe_output(capsys, "auto")
-        assert analytic_events == 0          # no event loop ran
+        auto_work, auto_events = self._probe_output(capsys)
+        events_work, events_events = self._probe_output(
+            capsys, "--trace", str(tmp_path / "t.jsonl"))
+        assert auto_events == 0              # no event loop ran
         assert events_events > 0
-        assert auto_events == 0              # auto takes the fast path
         tol = 1e-9 * max(1.0, events_work)
-        assert abs(analytic_work - events_work) <= tol
         assert abs(auto_work - events_work) <= tol

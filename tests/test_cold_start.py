@@ -4,7 +4,8 @@ The paper's quantities (eq. (1)'s X, Proposition 1's HECR, the FIFO
 allocation) need only numpy; SciPy backs the LP scheduler alone.  These
 tests boot fresh interpreters — this one has long since imported
 everything — and check that the CLI, the service and the stream twin
-come up without ``scipy`` or any experiment runner module, and that the
+come up without ``scipy`` or any experiment runner module, that a
+booted service answers x/hecr/FIFO without the simulator, and that the
 first LP allocation loads the solver on demand and answers exactly as
 the library does.
 """
@@ -74,6 +75,10 @@ from repro.service import ServiceConfig, ServiceThread
 def scipy_loaded():
     return any(m.split('.')[0] == 'scipy' for m in sys.modules)
 
+def simulator_modules():
+    return sorted(m for m in sys.modules
+                  if m == 'repro.simulation' or m.startswith('repro.simulation.'))
+
 config = ServiceConfig(port=0, result_cache_dir={str(tmp_path / 'cache')!r})
 profile = [1.0, 0.5, 0.25]
 with ServiceThread(config, registry=MetricsRegistry()) as server:
@@ -83,11 +88,15 @@ with ServiceThread(config, registry=MetricsRegistry()) as server:
         client.hecr(profile)
         client.allocate(profile, lifespan=100.0, protocol='fifo')
         before = scipy_loaded()
+        simulator = simulator_modules()
         lp = client.allocate(profile, lifespan=100.0, protocol='lp')
-print(json.dumps({{'before': before, 'after': scipy_loaded(), 'lp': lp}}))
+print(json.dumps({{'before': before, 'after': scipy_loaded(),
+                  'simulator': simulator, 'lp': lp}}))
 """
     out = json.loads(_python(code, tmp_path))
     assert out["before"] is False
+    # Boot and the x/hecr/FIFO answers load no simulator module.
+    assert out["simulator"] == []
     assert out["after"] is True
     allocation = lp_allocation(Profile([1.0, 0.5, 0.25]), PAPER_TABLE1, 100.0,
                                (0, 1, 2), (0, 1, 2))
