@@ -12,7 +12,9 @@ the perf trajectory baseline future PRs regress against:
 2. **batched LP** — ``lp_allocation_many`` versus per-pair
    ``lp_allocation`` over a batch of random (Σ, Φ) pairs, plus the
    wall time of the ``protocol-optimality`` experiment that now rides
-   on the batch path.
+   on the batch path.  Every answer is first checked against a direct
+   HiGHS solve, as is a heavy-communication set that takes the
+   fallback.
 3. **incremental X** — an :class:`~repro.core.measure.XEvaluator`
    candidate scan versus fresh ``x_measure`` per candidate at n = 256.
 
@@ -30,11 +32,13 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linprog
 
 from repro.core.measure import XEvaluator, x_measure
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.experiments.base import run_experiment
+from repro.protocols import general
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import lp_allocation, lp_allocation_many
 from repro.simulation.runner import simulate_allocation
@@ -84,6 +88,27 @@ def _sim_speedups() -> dict[str, float]:
     return out
 
 
+def _assert_matches_highs(profile: Profile, params: ModelParams,
+                          lifespan: float, pairs, allocations) -> int:
+    """Check each allocation against a direct HiGHS solve of its LP.
+
+    Every ``w`` must agree with ``linprog(method="highs")`` to 1e-9 of
+    max w; returns how many pairs the certificate sent to HiGHS.
+    """
+    fallbacks = 0
+    n = profile.n
+    for (sigma, phi), alloc in zip(pairs, allocations):
+        A_ub = general._constraint_rows(
+            profile.rho, params, general._positions(sigma, n),
+            general._positions(phi, n), True)
+        oracle = linprog(c=-np.ones(n), A_ub=A_ub,
+                         b_ub=np.full(A_ub.shape[0], lifespan),
+                         bounds=[(0.0, None)] * n, method="highs").x
+        assert np.abs(alloc.w - oracle).max() <= 1e-9 * oracle.max()
+        fallbacks += general._certified_w(A_ub, lifespan) is None
+    return fallbacks
+
+
 def _lp_speedup() -> dict[str, float]:
     profile = Profile.linear(6)
     params = ModelParams(tau=0.01, pi=0.001, delta=1.0)
@@ -99,6 +124,13 @@ def _lp_speedup() -> dict[str, float]:
 
     for one, many in zip(solve_loop(), solve_batch()):
         assert np.array_equal(one.w, many.w)
+    _assert_matches_highs(profile, params, 50.0, pairs, solve_batch())
+    # Heavy communication: the certificate fails for some pairs, and
+    # those answers come from the HiGHS fallback.
+    heavy = ModelParams(tau=0.5, pi=0.1, delta=1.0)
+    assert _assert_matches_highs(
+        profile, heavy, 50.0, pairs,
+        lp_allocation_many(profile, heavy, 50.0, pairs)) > 0
     loop_s = _best(solve_loop, repeats=3)
     batch_s = _best(solve_batch, repeats=3)
     return {

@@ -62,9 +62,9 @@ _SPEEDUP_FLOOR = 1.7
 #: absolute floor is disarmed.
 _KEEP_FRACTION = 0.5
 
-#: Same hot cluster and request mix as bench_service_throughput.py:
-#: LP-heavy because LP is the expensive hot query, walked round-robin
-#: from per-thread offsets.
+#: Same hot cluster and request shapes as bench_service_throughput.py,
+#: walked round-robin from per-thread offsets, but with Table-1 LPs:
+#: the duality certificate solves each in well under a millisecond.
 _CLUSTER = tuple(1.0 / (i + 1) for i in range(24))
 _NATURAL = tuple(range(len(_CLUSTER)))
 _REVERSED = tuple(reversed(_NATURAL))

@@ -6,15 +6,15 @@ The rest of the observability layer is ephemeral by design — a
 This module is the durable tier: a stdlib-``sqlite3`` database (WAL
 mode, safe under concurrent writers) holding one row per *run* — an
 experiment invocation, a ``run all`` batch, a service request — plus
-the run's span records, metrics-registry dump, engine choice, cache
-outcome and fault counters.
+the run's span records, metrics-registry dump, cache outcome and fault
+counters.
 
 Two tables:
 
 ``runs``
     One row per recorded run: identity (``run_id``, ``trace_id``, the
     PR-2 content-addressed ``cache_key`` where applicable), provenance
-    (``kind``, ``label``, ``engine``, ``status``), timing
+    (``kind``, ``label``, ``status``), timing
     (``started_at`` wall clock, ``wall_seconds``), and two JSON
     documents — the metrics-registry :meth:`~repro.obs.metrics.
     MetricsRegistry.dump` and a free-form ``extra`` block (shard
@@ -54,7 +54,7 @@ CREATE TABLE IF NOT EXISTS runs (
     label          TEXT NOT NULL DEFAULT '',
     trace_id       TEXT,
     cache_key      TEXT,
-    engine         TEXT,
+    engine         TEXT,  -- unwritten; old and new stores share one schema
     status         TEXT NOT NULL DEFAULT 'ok',
     started_at     REAL NOT NULL,
     wall_seconds   REAL,
@@ -152,7 +152,6 @@ class RunStore:
     def record_run(self, *, kind: str, label: str = "",
                    trace_id: str | None = None,
                    cache_key: str | None = None,
-                   engine: str | None = None,
                    status: str = "ok",
                    started_at: float | None = None,
                    wall_seconds: float | None = None,
@@ -170,7 +169,7 @@ class RunStore:
         cache entry it produced or reused.
         """
         run_id = run_id or new_span_id()
-        row = (run_id, kind, label, trace_id, cache_key, engine, status,
+        row = (run_id, kind, label, trace_id, cache_key, status,
                started_at if started_at is not None else time.time(),
                wall_seconds, _json_or_none(metrics), _json_or_none(extra),
                _SCHEMA_VERSION)
@@ -178,9 +177,9 @@ class RunStore:
             with self._lock:
                 self._conn.execute(
                     "INSERT OR REPLACE INTO runs (run_id, kind, label, "
-                    "trace_id, cache_key, engine, status, started_at, "
+                    "trace_id, cache_key, status, started_at, "
                     "wall_seconds, metrics, extra, schema_version) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
+                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
                 self._conn.commit()
         except sqlite3.Error:
             return None

@@ -2,11 +2,11 @@
 
 The FIFO closed form covers Σ = Φ.  For any other startup/finishing order
 pair the optimal work allocation is the solution of a small linear
-program, which this module builds and solves with
-:func:`scipy.optimize.linprog`.  Having an independent optimiser for every
-protocol shape lets the test suite *verify* Theorem 1 — FIFO protocols
-are optimal and startup-order invariant — instead of assuming it, and it
-powers the protocol-optimality ablation benchmark.
+program, which this module builds and solves (see *Solving*).  Having
+an independent optimiser for every protocol shape lets the test suite
+*verify* Theorem 1 — FIFO protocols are optimal and startup-order
+invariant — instead of assuming it, and it powers the
+protocol-optimality ablation benchmark.
 
 LP formulation
 --------------
@@ -26,6 +26,24 @@ plus (optionally) the block-separation constraint
 ``(π + τ + τδ)·Σ w ≤ L`` ensuring the outgoing-send block clears the
 channel before the result block begins.  The objective maximises
 ``Σ w_c``.
+
+Solving
+-------
+Let ``S`` be the n per-computer rows.  Solve ``S w = L·1`` and
+``Sᵀ y = 1``; when both are finite and strictly positive and ``w``
+meets the separation row, ``w`` is the optimum:
+
+* ``w`` is primal feasible;
+* ``(y, 0)`` is dual feasible, since ``Sᵀ y = 1``;
+* the objectives agree: ``1ᵀw = yᵀS w = L·1ᵀy``;
+* ``y > 0`` makes every row tight at every optimum, so the optimum is
+  unique and is the vertex HiGHS would return, up to rounding.
+
+The paper's regime (Table 1) passes at every cluster size tried, up to
+n = 128.  Heavy communication fails it on larger clusters (τ = 0.05,
+π = 0.01: some random pairs at n = 8, nearly all from n = 16), and
+those LPs go to :func:`scipy.optimize.linprog` (HiGHS), imported on
+first use.
 """
 
 from __future__ import annotations
@@ -57,9 +75,9 @@ def _constraint_rows(rho: np.ndarray, params: ModelParams,
     ``spos``/``fpos`` hold each computer's startup/finishing *position*
     and may carry leading batch dimensions; the result has shape
     ``(..., m, n)`` with ``m = n`` (+1 when the separation row is on).
-    Entry (c, d) accumulates exactly the terms the scalar row loop used
-    to add, in the same order: ``π+τ`` when d's send precedes or is c's,
-    ``Bρ_c`` on the diagonal, ``τδ`` when d's result follows or is c's.
+    Entry (c, d) adds, in this order: ``π+τ`` when d's send precedes or
+    is c's, ``Bρ_c`` on the diagonal, ``τδ`` when d's result follows or
+    is c's.
     """
     A_send = params.pi + params.tau
     td = params.tau_delta
@@ -74,6 +92,44 @@ def _constraint_rows(rho: np.ndarray, params: ModelParams,
         sep = np.full(rows.shape[:-2] + (1, n), A_send + td)
         rows = np.concatenate([rows, sep], axis=-2)
     return rows
+
+
+def _certified_w(A_ub: np.ndarray, lifespan: float) -> np.ndarray | None:
+    """The LP optimum by one linear solve, or ``None`` if uncertified.
+
+    Solves ``S w = L·1`` and ``Sᵀ y = 1`` for the n per-computer rows
+    ``S`` and accepts ``w`` only when both solutions are finite and
+    strictly positive and ``w`` meets the separation row, if any —
+    the duality certificate of the module docstring.
+    """
+    n = A_ub.shape[1]
+    S = A_ub[:n]
+    try:
+        w = np.linalg.solve(S, np.full(n, lifespan))
+        y = np.linalg.solve(S.T, np.ones(n))
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.isfinite(w).all() and np.isfinite(y).all()
+            and (w > 0.0).all() and (y > 0.0).all()):
+        return None
+    if A_ub.shape[0] > n and A_ub[n] @ w > lifespan:
+        return None
+    return w
+
+
+def _highs_w(A_ub: np.ndarray, lifespan: float,
+             protocol_name: str) -> np.ndarray:
+    """The LP optimum from HiGHS, for LPs the certificate rejects."""
+    from scipy.optimize import linprog  # deferred: ~0.2 s, fallback only
+
+    n = A_ub.shape[1]
+    result = linprog(c=-np.ones(n), A_ub=A_ub,
+                     b_ub=np.full(A_ub.shape[0], lifespan),
+                     bounds=[(0.0, None)] * n, method="highs")
+    if not result.success:  # pragma: no cover - w = 0 is always feasible
+        raise InfeasibleScheduleError(
+            f"LP solver failed for ({protocol_name}) protocol: {result.message}")
+    return np.clip(result.x, 0.0, None)
 
 
 def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
@@ -102,28 +158,10 @@ def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
         If the LP solver fails (should not happen: w = 0 is always
         feasible).
     """
-    if lifespan <= 0 or not np.isfinite(lifespan):
-        raise ProtocolError(f"lifespan must be positive and finite, got {lifespan!r}")
-    n = profile.n
-    sigma = validate_order(startup_order, n, name="startup_order")
-    phi = validate_order(finishing_order, n, name="finishing_order")
-    rho = profile.rho
-
-    A_ub = _constraint_rows(rho, params, _positions(sigma, n),
-                            _positions(phi, n), enforce_separation)
-    b_ub = np.full(A_ub.shape[0], float(lifespan))
-
-    from scipy.optimize import linprog  # deferred: ~0.2 s, LP callers only
-
-    result = linprog(c=-np.ones(n), A_ub=A_ub, b_ub=b_ub,
-                     bounds=[(0.0, None)] * n, method="highs")
-    if not result.success:  # pragma: no cover - w = 0 is always feasible
-        raise InfeasibleScheduleError(
-            f"LP solver failed for ({protocol_name}) protocol: {result.message}")
-    w = np.clip(result.x, 0.0, None)
-    return WorkAllocation(profile=profile, params=params, lifespan=lifespan,
-                          w=w, startup_order=sigma, finishing_order=phi,
-                          protocol_name=protocol_name)
+    (allocation,) = lp_allocation_many(
+        profile, params, lifespan, [(startup_order, finishing_order)],
+        enforce_separation=enforce_separation, protocol_name=protocol_name)
+    return allocation
 
 
 def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
@@ -133,13 +171,11 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
     """Solve many (Σ, Φ) protocol pairs of one cluster as a batch.
 
     Builds every pair's constraint matrix in one broadcast pass (a
-    ``(P, m, n)`` tensor instead of P × n Python-level row loops) and
-    shares the objective/bounds/right-hand-side structure across the P
-    HiGHS solves, so enumeration studies such as
-    :mod:`repro.experiments.protocol_optimality` stop paying the
-    per-permutation assembly cost.  Each returned allocation is
-    bit-identical to the corresponding :func:`lp_allocation` call — the
-    batched builder feeds the solver the very same matrix values.
+    ``(P, m, n)`` tensor instead of P × n Python-level row loops), then
+    solves each pair on its own: the certified linear solve, else
+    HiGHS.  :func:`lp_allocation` is the one-pair call of this
+    function, so each returned allocation is bit-identical to the
+    corresponding :func:`lp_allocation` call.
     """
     if lifespan <= 0 or not np.isfinite(lifespan):
         raise ProtocolError(f"lifespan must be positive and finite, got {lifespan!r}")
@@ -151,25 +187,14 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
                  for s, f in pairs]
     spos = np.stack([_positions(s, n) for s, _ in validated])
     fpos = np.stack([_positions(f, n) for _, f in validated])
-    # One constraint stack for every pair, built by the same arithmetic
-    # as per-pair lp_allocation, so every solve matches it.
     A_all = _constraint_rows(profile.rho, params, spos, fpos,
                              enforce_separation)
-    b_ub = np.full(A_all.shape[1], float(lifespan))
-    c_obj = -np.ones(n)
-    bounds = [(0.0, None)] * n
-
-    from scipy.optimize import linprog  # deferred: ~0.2 s, LP callers only
-
+    L = float(lifespan)
     allocations: list[WorkAllocation] = []
     for (sigma, phi), A_ub in zip(validated, A_all):
-        result = linprog(c=c_obj, A_ub=A_ub, b_ub=b_ub, bounds=bounds,
-                         method="highs")
-        if not result.success:  # pragma: no cover - w = 0 is always feasible
-            raise InfeasibleScheduleError(
-                f"LP solver failed for ({protocol_name}) protocol: "
-                f"{result.message}")
-        w = np.clip(result.x, 0.0, None)
+        w = _certified_w(A_ub, L)
+        if w is None:
+            w = _highs_w(A_ub, L, protocol_name)
         allocations.append(WorkAllocation(
             profile=profile, params=params, lifespan=lifespan, w=w,
             startup_order=sigma, finishing_order=phi,

@@ -28,9 +28,9 @@ class ServiceConfig:
         (the bound port is reported by ``ReproService.port``).
     max_batch:
         Hard cap on requests solved in one coalesced batch — the only
-        batching setting: the coalescer never waits for companions, so
-        each batch is the first queued request plus whatever is already
-        queued, solved at once.
+        batching setting: the coalescer never waits on a timer, so each
+        batch is the first queued request plus whatever queues behind it
+        before an event-loop pass adds nothing.
     max_inflight:
         Admitted-but-unanswered request ceiling; request number
         ``max_inflight + 1`` is shed with ``503`` + ``Retry-After``.

@@ -341,11 +341,6 @@ class Supervisor:
             self._cleanup()
 
     def _run(self) -> int:
-        # Load the LP solver once, before the first fork: the workers
-        # share its pages copy-on-write, and neither a fresh nor a
-        # respawned worker pays the import on its first LP.
-        import scipy.optimize  # noqa: F401
-
         self._bind()
         self._run_dir = tempfile.mkdtemp(prefix="repro-supervisor-")
         self._owns_run_dir = True

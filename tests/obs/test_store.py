@@ -24,7 +24,7 @@ class TestRecordAndRead:
         with RunStore(tmp_path / "runs.sqlite3") as store:
             run_id = store.record_run(
                 kind="experiment", label="table3", trace_id="t" * 32,
-                cache_key="deadbeef", engine="analytic", status="ok",
+                cache_key="deadbeef", status="ok",
                 wall_seconds=0.5,
                 metrics={"sim_runs_total": {"value": 3}},
                 extra={"cached": True, "jobs": 2})

@@ -275,7 +275,7 @@ def _solved_alone(requests):
 
 
 class TestFlushPolicy:
-    """A batch is whatever is queued, dispatched at once."""
+    """A batch is whatever queues before a loop pass adds nothing."""
 
     def test_lone_submit_solves_at_once(self):
         async def scenario(batcher):
@@ -290,6 +290,17 @@ class TestFlushPolicy:
         async def scenario(batcher):
             return await asyncio.gather(batcher.submit("x", _P1),
                                         batcher.submit("x", _P2))
+        results, _, batcher, flushes = _run_flush(scenario)
+        assert (batcher.batches, batcher.requests) == (1, 2)
+        assert flushes == {"drained": 1}
+        assert results == _solved_alone([("x", _P1), ("x", _P2)])
+
+    def test_request_one_loop_pass_behind_joins_the_batch(self):
+        async def scenario(batcher):
+            first = asyncio.ensure_future(batcher.submit("x", _P1))
+            await asyncio.sleep(0)  # first is queued; the drain wakes next
+            second = asyncio.ensure_future(batcher.submit("x", _P2))
+            return await asyncio.gather(first, second)
         results, _, batcher, flushes = _run_flush(scenario)
         assert (batcher.batches, batcher.requests) == (1, 2)
         assert flushes == {"drained": 1}

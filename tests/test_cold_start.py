@@ -5,9 +5,10 @@ allocation) need only numpy; SciPy backs the LP scheduler alone.  These
 tests boot fresh interpreters — this one has long since imported
 everything — and check that the CLI, the service and the stream twin
 come up without ``scipy`` or any experiment runner module, that a
-booted service answers x/hecr/FIFO without the simulator, and that the
-first LP allocation loads the solver on demand and answers exactly as
-the library does.
+booted service answers x/hecr/FIFO without the simulator, that a
+paper-regime LP allocation is answered by the certified linear solve
+without the solver, and that the first LP the certificate rejects loads
+the solver on demand; both answer exactly as the library does.
 """
 
 import importlib
@@ -23,7 +24,7 @@ import pytest
 
 import repro
 import repro.experiments
-from repro.core.params import PAPER_TABLE1
+from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
 from repro.experiments import base
 from repro.io import allocation_to_dict
@@ -67,6 +68,7 @@ def test_cli_list_loads_no_solver_and_no_runner(tmp_path):
 
 
 def test_service_answers_without_solver_until_first_lp(tmp_path):
+    heavy = {"tau": 0.5, "pi": 0.1, "delta": 1.0}
     code = f"""
 import json, sys
 from repro.obs.metrics import MetricsRegistry
@@ -90,18 +92,26 @@ with ServiceThread(config, registry=MetricsRegistry()) as server:
         before = scipy_loaded()
         simulator = simulator_modules()
         lp = client.allocate(profile, lifespan=100.0, protocol='lp')
-print(json.dumps({{'before': before, 'after': scipy_loaded(),
-                  'simulator': simulator, 'lp': lp}}))
+        certified = scipy_loaded()
+        heavy_lp = client.allocate(profile, lifespan=100.0, protocol='lp',
+                                   params={heavy!r})
+print(json.dumps({{'before': before, 'certified': certified,
+                  'after': scipy_loaded(), 'simulator': simulator,
+                  'lp': lp, 'heavy_lp': heavy_lp}}))
 """
     out = json.loads(_python(code, tmp_path))
     assert out["before"] is False
     # Boot and the x/hecr/FIFO answers load no simulator module.
     assert out["simulator"] == []
+    # A Table-1 LP passes the certificate; the heavy one falls back.
+    assert out["certified"] is False
     assert out["after"] is True
-    allocation = lp_allocation(Profile([1.0, 0.5, 0.25]), PAPER_TABLE1, 100.0,
-                               (0, 1, 2), (0, 1, 2))
-    assert out["lp"] == {"allocation": allocation_to_dict(allocation),
-                         "total_work": float(allocation.w.sum())}
+    for key, params in (("lp", PAPER_TABLE1),
+                        ("heavy_lp", ModelParams(**heavy))):
+        allocation = lp_allocation(Profile([1.0, 0.5, 0.25]), params, 100.0,
+                                   (0, 1, 2), (0, 1, 2))
+        assert out[key] == {"allocation": allocation_to_dict(allocation),
+                            "total_work": float(allocation.w.sum())}
 
 
 class TestLazyRegistry:
