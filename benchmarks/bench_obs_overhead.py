@@ -30,7 +30,6 @@ from pathlib import Path
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import HotPathProfiler
 from repro.obs.store import RunStore
 from repro.obs.tracing import SimulationObserver, Tracer
 from repro.protocols.fifo import fifo_allocation
@@ -147,10 +146,6 @@ def test_disabled_observability_is_within_noise_of_seed_engine(
         no_store_s, with_store_s = _time_store_rounds(store)
     store_ratio = with_store_s / no_store_s
 
-    with HotPathProfiler() as prof:
-        simulate_allocation(fifo_allocation(Profile.linear(256), _PARAMS, 100.0),
-                            engine="events")
-
     baseline = {
         "events_per_burst": _EVENTS,
         "seed_loop_seconds": seed_s,
@@ -175,8 +170,7 @@ def test_disabled_observability_is_within_noise_of_seed_engine(
              f"traced {round_enabled_s * 1e3:.2f} ms "
              f"(x{enabled_ratio:.2f})",
              f"  run store      off {no_store_s * 1e3:.2f} ms, "
-             f"on {with_store_s * 1e3:.2f} ms (x{store_ratio:.3f})",
-             "", "hot-path profile of one n=256 round:", prof.report()]
+             f"on {with_store_s * 1e3:.2f} ms (x{store_ratio:.3f})"]
     report_sink("obs-overhead", "\n".join(lines))
 
     assert disabled_ratio < _DISABLED_TOLERANCE, (

@@ -1,27 +1,28 @@
-"""Serving-layer throughput benchmark: micro-batched vs unbatched.
+"""Serving-layer throughput benchmark: response cache on vs off.
 
 Boots the service twice on a loopback ephemeral port — once with the
-micro-batching coalescer on (``max_batch=64``) and once strictly
-unbatched (``max_batch=1``) — and drives both with the same closed-loop
-multi-threaded workload of hot evaluation queries (``/v1/x``, ``/v1/hecr``,
-FIFO and LP ``/v1/allocate``).  The response cache is disabled in both
-phases so the measured difference is the coalescer's: request collapsing,
-the shared ``XEvaluator`` pool, and grouped ``lp_allocation_many`` solves.
-The LPs use heavy communication (τ = 0.5, π = 0.1), which the duality
-certificate of :mod:`repro.protocols.general` rejects, so each one is a
-HiGHS solve of a few milliseconds; a Table-1 LP is certified in well
-under a millisecond and would leave the phases measuring the client and
-HTTP overhead instead of the coalescer.
+default response cache and once with it off (``cache_ttl=0``) — and
+drives both with the same closed-loop multi-threaded herd of hot
+evaluation queries (``/v1/x``, ``/v1/hecr``, FIFO and LP
+``/v1/allocate``).  Each evaluation is solved inline between the
+response cache's lookup and store, so the cache is the server's one
+dedup layer: with it on, a herd on a hot question costs one solve per
+TTL, and the measured difference is that layer's.  The LPs use heavy
+communication (τ = 0.5, π = 0.1), which the duality certificate of
+:mod:`repro.protocols.general` rejects, so each one is a HiGHS solve of
+a few milliseconds; a Table-1 LP is certified in well under a
+millisecond and would leave the phases measuring the client and HTTP
+overhead instead of the solves the cache saves.
 
 A third phase overloads a deliberately tiny server (``max_inflight=2``
 plus a token bucket) and checks that overload is *shed* — 429/503 with a
 ``Retry-After`` hint — rather than queued into client timeouts.
 
-Numbers (throughput, p50/p99 latency, batch/shed statistics) land in
-``BENCH_service_throughput.json`` at the repo root, and a rendered report
-in ``benchmarks/output/service-throughput.txt``.  With
+Numbers (throughput, p50/p99 latency, cache-hit/shed statistics) land
+in ``BENCH_service_throughput.json`` at the repo root, and a rendered
+report in ``benchmarks/output/service-throughput.txt``.  With
 ``REPRO_PERF_CHECK=1`` (the CI ``service`` job) the committed baseline is
-left untouched and the batched-over-unbatched speedup floor is asserted.
+left untouched and the cache-on-over-cache-off speedup floor is asserted.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ BASELINE_PATH = (Path(__file__).resolve().parent.parent
 _PHASE_SECONDS = float(os.environ.get("REPRO_SVC_BENCH_SECONDS", "2.0"))
 _THREADS = 16
 
-#: Required batched/unbatched throughput ratio in check mode.  The win
+#: Required cache-on/cache-off throughput ratio in check mode.  The win
 #: comes from sharing work, not from extra cores, so the floor holds on
-#: single-core runners too — collapsed duplicates and grouped LP solves
-#: cost one evaluation however many clients wait on them.
+#: single-core runners too — a hot question costs one solve however
+#: many clients ask it.
 _SPEEDUP_FLOOR = 1.15
 
 #: One hot cluster, harmonic speeds.
@@ -64,8 +65,7 @@ _HEAVY = {"tau": 0.5, "pi": 0.1, "delta": 1.0}
 #: The request mix, LP-heavy because LP is the expensive hot query.
 #: Threads walk it round-robin from different offsets, so at any
 #: instant several threads are asking the same hot question — the
-#: thundering herd the coalescer exists to collapse — while the three
-#: distinct LP order pairs exercise grouped solving.
+#: thundering herd the response cache answers with one solve.
 _WORKLOAD = [
     ("x", lambda c: c.x(_CLUSTER)),
     ("lp-natural", lambda c: c.allocate(_CLUSTER, lifespan=200.0,
@@ -97,7 +97,8 @@ def _load_phase(config: ServiceConfig) -> tuple[dict, dict]:
     """
     latencies: list[list[float]] = [[] for _ in range(_THREADS)]
     errors: list[str] = []
-    with ServiceThread(config, registry=MetricsRegistry()) as server:
+    registry = MetricsRegistry()
+    with ServiceThread(config, registry=registry) as server:
         # One untimed pass first: the first rejected LP in a process
         # imports scipy, which must not land in either timed phase.
         with server.client(timeout=30.0) as client:
@@ -132,22 +133,17 @@ def _load_phase(config: ServiceConfig) -> tuple[dict, dict]:
         with server.client() as client:
             responses = {name: call(client) for name, call in _WORKLOAD}
 
-        batcher = server.service.batcher
-        solver = batcher.solver
-        flat = sorted(value for bucket in latencies for value in bucket)
-        assert flat, "load phase issued no requests"
-        stats = {
-            "requests": len(flat),
-            "seconds": round(elapsed, 4),
-            "throughput_rps": round(len(flat) / elapsed, 2),
-            "p50_ms": round(_percentile(flat, 0.50) * 1e3, 3),
-            "p99_ms": round(_percentile(flat, 0.99) * 1e3, 3),
-            "batches": batcher.batches,
-            "mean_batch_size": round(batcher.requests
-                                     / max(1, batcher.batches), 3),
-            "collapsed": solver.collapsed,
-            "lp_grouped": solver.lp_grouped,
-        }
+    hits = registry.counter("svc_response_cache_hits_total", "")
+    flat = sorted(value for bucket in latencies for value in bucket)
+    assert flat, "load phase issued no requests"
+    stats = {
+        "requests": len(flat),
+        "seconds": round(elapsed, 4),
+        "throughput_rps": round(len(flat) / elapsed, 2),
+        "p50_ms": round(_percentile(flat, 0.50) * 1e3, 3),
+        "p99_ms": round(_percentile(flat, 0.99) * 1e3, 3),
+        "cache_hits": int(sum(sample.value for sample in hits.samples())),
+    }
     return stats, responses
 
 
@@ -196,20 +192,17 @@ def _shed_phase() -> dict:
 def test_service_throughput(report_sink):
     check_mode = os.environ.get("REPRO_PERF_CHECK", "") == "1"
 
-    unbatched, unbatched_responses = _load_phase(ServiceConfig(
-        port=0, max_batch=1,
-        cache_ttl=0.0, no_result_cache=True))
-    batched, batched_responses = _load_phase(ServiceConfig(
-        port=0, max_batch=64,
-        cache_ttl=0.0, no_result_cache=True))
-    speedup = batched["throughput_rps"] / unbatched["throughput_rps"]
+    cache_off, cache_off_responses = _load_phase(ServiceConfig(
+        port=0, cache_ttl=0.0, no_result_cache=True))
+    cache_on, cache_on_responses = _load_phase(ServiceConfig(
+        port=0, no_result_cache=True))
+    speedup = cache_on["throughput_rps"] / cache_off["throughput_rps"]
 
     # Bit-identity first: a throughput win that moves floats is a bug.
-    assert batched_responses == unbatched_responses, \
-        "batched and unbatched responses differ"
-    # The coalescer must actually have coalesced under this load.
-    assert batched["mean_batch_size"] > 1.0
-    assert batched["collapsed"] > 0
+    assert cache_on_responses == cache_off_responses, \
+        "cache-on and cache-off responses differ"
+    # The response cache must actually have answered the herd.
+    assert cache_on["cache_hits"] > 0
 
     shed = _shed_phase()
     assert shed["shed_429"] + shed["shed_503"] > 0, \
@@ -227,8 +220,8 @@ def test_service_throughput(report_sink):
         "cluster_size": len(_CLUSTER),
         "lp_params": _HEAVY,
         "workload": [name for name, _ in _WORKLOAD],
-        "unbatched": unbatched,
-        "batched": batched,
+        "cache_off": cache_off,
+        "cache_on": cache_on,
         "speedup": round(speedup, 4),
         "speedup_floor": _SPEEDUP_FLOOR,
         "shed": shed,
@@ -239,14 +232,12 @@ def test_service_throughput(report_sink):
     report_sink("service-throughput", "\n".join([
         "service throughput benchmark "
         f"({_THREADS} threads, {_PHASE_SECONDS:g} s/phase)",
-        f"  unbatched   {unbatched['throughput_rps']:9.1f} rps   "
-        f"p50 {unbatched['p50_ms']:7.2f} ms   p99 {unbatched['p99_ms']:7.2f} ms",
-        f"  batched     {batched['throughput_rps']:9.1f} rps   "
-        f"p50 {batched['p50_ms']:7.2f} ms   p99 {batched['p99_ms']:7.2f} ms",
+        f"  cache off   {cache_off['throughput_rps']:9.1f} rps   "
+        f"p50 {cache_off['p50_ms']:7.2f} ms   p99 {cache_off['p99_ms']:7.2f} ms",
+        f"  cache on    {cache_on['throughput_rps']:9.1f} rps   "
+        f"p50 {cache_on['p50_ms']:7.2f} ms   p99 {cache_on['p99_ms']:7.2f} ms",
         f"  speedup     x{speedup:.2f} (floor x{_SPEEDUP_FLOOR}, "
-        f"mean batch {batched['mean_batch_size']:.1f}, "
-        f"collapsed {batched['collapsed']}, "
-        f"lp grouped {batched['lp_grouped']})",
+        f"cache hits {cache_on['cache_hits']})",
         f"  shedding    {shed['ok']} ok, {shed['shed_429']} x 429, "
         f"{shed['shed_503']} x 503, {shed['timeouts']} timeouts "
         f"of {shed['attempts']} attempts",
@@ -254,5 +245,5 @@ def test_service_throughput(report_sink):
 
     if check_mode:
         assert speedup >= _SPEEDUP_FLOOR, (
-            f"micro-batching was only {speedup:.2f}x the unbatched server "
-            f"(floor {_SPEEDUP_FLOOR}x)")
+            f"the response cache was only {speedup:.2f}x the cache-off "
+            f"server (floor {_SPEEDUP_FLOOR}x)")

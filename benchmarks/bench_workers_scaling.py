@@ -51,7 +51,7 @@ _THREADS = 16
 _WORKER_COUNTS = (1, 2, 4)
 
 #: Required 2-worker/1-worker throughput ratio in check mode.  Unlike
-#: the micro-batching floor this win *is* extra cores: it is only
+#: the response-cache floor this win *is* extra cores: it is only
 #: asserted when the machine has at least two of them (CI runners do).
 #: Single-core machines still run every correctness assert and record
 #: honest numbers with ``floor_armed: false``.

@@ -3,7 +3,8 @@
 :class:`SharedCache` is the store behind the experiment result cache
 (:class:`~repro.batch.cache.ResultCache`).  N processes receiving the
 same expensive experiment at once would otherwise compute it N times
-— the waste the in-process coalescer eliminates for *one* event loop.
+— the waste the in-process response cache eliminates for *one* event
+loop.
 This module is the cross-process analogue, built on two primitives:
 
 **Atomic publish.**  Entries are JSON documents under one directory,

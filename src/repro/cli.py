@@ -137,9 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8023,
                        help="bind port; 0 asks the OS for an ephemeral port "
                             "(default: 8023)")
-    serve.add_argument("--max-batch", type=int, default=64, metavar="N",
-                       help="max evaluation requests solved in one "
-                            "coalesced batch (default: 64)")
     serve.add_argument("--max-inflight", type=int, default=64, metavar="N",
                        help="admitted-request ceiling; excess is shed with "
                             "503 + Retry-After (default: 64)")
@@ -598,8 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, run_service
 
     config = ServiceConfig(
-        host=args.host, port=args.port,
-        max_batch=args.max_batch, max_inflight=args.max_inflight,
+        host=args.host, port=args.port, max_inflight=args.max_inflight,
         rate=args.rate, burst=args.burst, deadline=args.deadline,
         cache_entries=args.cache_entries, cache_ttl=args.cache_ttl,
         jobs=args.jobs, no_result_cache=args.no_cache,
@@ -637,8 +633,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def announce(service) -> None:
         print(f"repro-hetero serving on http://{service.host}:{service.port} "
-              f"(max batch {args.max_batch}, max in-flight "
-              f"{args.max_inflight})", file=sys.stderr)
+              f"(max in-flight {args.max_inflight})", file=sys.stderr)
 
     try:
         run_service(config, registry=default_registry(), ready=announce)

@@ -2,8 +2,7 @@
 
 Every §4 study — the variance-predictor trials, the majorization
 ablation, HECR calibration — is defined over *populations* of clusters,
-tens of thousands of random profile comparisons per table row, and the
-serving layer coalesces whole micro-batches of profile evaluations.
+tens of thousands of random profile comparisons per table row.
 Evaluating one :class:`~repro.core.profile.Profile` at a time makes the
 Python interpreter the bottleneck long before NumPy is.
 
@@ -27,10 +26,9 @@ call it.  NumPy's pairwise summation (and the ``var``/``mean``
 reductions built on it) produce bit-identical results for a contiguous
 row of an ``(m, n)`` array and the equivalent 1-D array, so
 ``ProfileBatch(rows).x(params)[i] == x_measure(rows[i], params)`` holds
-**bitwise** — which is what lets the service coalescer route its
-bit-identity-guaranteed responses through the batch without moving a
-single float.  Proposition 1's closed form is likewise written once, in
-:func:`hecr_from_x_many`; the scalar
+**bitwise**: a caller can move scalar evaluations onto the batch
+without moving a single float.  Proposition 1's closed form is likewise
+written once, in :func:`hecr_from_x_many`; the scalar
 :func:`~repro.core.hecr.hecr_from_x` is a one-element call of it, so
 scalar and batch HECRs are bitwise equal too.  The property suite
 (``tests/properties/test_batch_parity_properties.py``) pins both

@@ -1,4 +1,4 @@
-"""Observability: metrics registry, structured tracing, exporters, profiling.
+"""Observability: metrics registry, structured tracing, exporters, run store.
 
 The instrumentation layer the rest of the library reports into:
 
@@ -9,7 +9,8 @@ The instrumentation layer the rest of the library reports into:
   simulator and experiment framework pick up automatically;
 * :mod:`repro.obs.export` — JSONL trace streams, Prometheus text
   exposition, human-readable run summaries;
-* :mod:`repro.obs.profile` — an opt-in hot-path profiler for benchmarks.
+* :mod:`repro.obs.store` — the SQLite run-history store behind the
+  ``obs`` CLI and the service's ``/v1/obs/*`` endpoints.
 
 Everything here is dependency-free and pay-for-what-you-use: with no
 :class:`Observation` installed, the instrumented code paths reduce to a
@@ -34,7 +35,6 @@ from repro.obs.metrics import (
     default_registry,
     set_default_registry,
 )
-from repro.obs.profile import DEFAULT_TARGETS, FunctionStat, HotPathProfiler
 from repro.obs.store import RunStore, default_store_path
 from repro.obs.tracing import (
     Observation,
@@ -59,6 +59,4 @@ __all__ = [
     "run_summary", "perfetto_trace", "write_perfetto",
     # store
     "RunStore", "default_store_path",
-    # profiling
-    "HotPathProfiler", "FunctionStat", "DEFAULT_TARGETS",
 ]

@@ -21,9 +21,9 @@ Layout
     The TTL'd LRU response cache, one per process (keyed like the
     batch layer's :class:`~repro.batch.cache.ResultCache`).
 :mod:`repro.service.coalescer`
-    The micro-batching heart: concurrent evaluation requests are
-    drained from the queue and solved in one shot —
-    bit-identically to per-request solves.
+    Evaluation solving: each request is solved inline by its handler,
+    behind the response cache, bit-identically to a direct library
+    call.
 :mod:`repro.service.app`
     :class:`ReproService` — routing, handlers, deadlines, metrics.
 :mod:`repro.service.client`
@@ -37,7 +37,7 @@ Layout
     ``serve --workers N``: SO_REUSEPORT port sharing, per-worker
     admission budgets, crash restarts, aggregate metrics.
 
-See ``docs/SERVICE.md`` for endpoint semantics, batching guarantees,
+See ``docs/SERVICE.md`` for endpoint semantics, dedup guarantees,
 shedding behaviour, and the multi-worker scale-out model.
 """
 

@@ -127,8 +127,8 @@ class AdmissionController:
                 return AdmissionDecision(False, status=429,
                                          reason="ratelimit", retry_after=wait)
         if self.inflight >= self.max_inflight:
-            # The queue drains a batch at a time; one second is an
-            # honest "try again" horizon for a loopback client.
+            # In-flight requests answer in milliseconds; one second is
+            # an honest "try again" horizon for a loopback client.
             return AdmissionDecision(False, status=503, reason="overload",
                                      retry_after=1.0)
         self.inflight += 1

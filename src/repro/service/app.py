@@ -21,14 +21,17 @@ GET       ``/v1/obs/runs``              recent stored runs/requests
 GET       ``/v1/obs/runs/{id}``         one stored run with its spans
 ========  ============================  =====================================
 
-Request semantics (shedding, batching, deadlines, caching) are
-documented in ``docs/SERVICE.md``; the telemetry surfaces in
+Evaluation requests are solved inline by their handler, between the
+response-cache lookup and store, with nothing in between that yields
+to the event loop: the response cache is the one dedup layer.  Request
+semantics (shedding, deadlines, caching) are documented in
+``docs/SERVICE.md``; the telemetry surfaces in
 ``docs/OBSERVABILITY.md``.  Everything is instrumented through the
 observability layer: ``svc_requests_total{route,code}``,
 ``svc_request_seconds{route}`` (with trace-id exemplars),
-``svc_inflight``, ``svc_shed_total{reason}``, ``svc_batch_size``,
-``svc_batch_flush_total{reason}``, ``svc_slo_burn_rate{route}``, one
-``svc:<route>`` span record per request (emitted pre-timed via
+``svc_inflight``, ``svc_shed_total{reason}``,
+``svc_response_cache_hits_total{kind}``, ``svc_slo_burn_rate{route}``,
+one ``svc:<route>`` span record per request (emitted pre-timed via
 ``Tracer.record_span`` because asyncio tasks interleave and must not
 share the tracer's thread-local span stack), a JSON access-log line
 per request on the ``repro.service.access`` logger, and — unless
@@ -72,10 +75,15 @@ _PROM = "text/plain; version=0.0.4; charset=utf-8"
 
 #: The current request's span id, visible to handlers running inside
 #: the request's asyncio task (set by ``_respond``).  Handlers hand it
-#: to the coalescer / batch engine as the trace parent so downstream
-#: spans link back to the request that caused them.
+#: to the batch engine as the trace parent so downstream spans link
+#: back to the request that caused them.
 _REQ_SPAN: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_request_span", default=None)
+
+#: The current request's deadline on the ``time.monotonic()`` clock, or
+#: None (set by ``_run_with_deadline``).
+_DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
+    "repro_request_deadline", default=None)
 
 _access_log = logging.getLogger("repro.service.access")
 
@@ -145,7 +153,7 @@ def _parse_scheme_body(obj: Any) -> tuple:
     Accepted forms: ``{"kind": "replication", "r": 2}`` and
     ``{"kind": "mds", "k": 2, "n": 3}`` (``shares`` is an accepted
     alias for ``n``).  Returns ``("replication", r)`` or
-    ``("mds", k, n)`` — what the coalescer keys and solves on.
+    ``("mds", k, n)`` — what the solver keys and solves on.
     """
     from repro.coded import scheme_from_spec
 
@@ -195,7 +203,7 @@ def _parse_margin(obj: Any) -> float:
 def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     """Validate one evaluation request body into its canonical payload.
 
-    The canonical payload is what the coalescer keys and solves on:
+    The canonical payload is what the solver keys and solves on:
     profile as a float tuple, params as :class:`ModelParams`, orders as
     int tuples.  Raising here (client error → 400) keeps garbage out of
     the batch solver entirely.
@@ -343,16 +351,15 @@ class ReproService:
             rate=self.config.rate, burst=self.config.burst)
         self.cache = ResponseCache(self.config.cache_entries,
                                    self.config.cache_ttl)
-        self.batcher = MicroBatcher(max_batch=self.config.max_batch,
-                                    registry=self.registry,
-                                    tracer=self.tracer)
+        self.batcher = MicroBatcher()
         self._server: asyncio.AbstractServer | None = None
         self._started_at = 0.0
         self._result_cache = None
         self.store: RunStore | None = None
         self._draining = False
         self._active_requests = 0
-        self._writers: set[asyncio.StreamWriter] = set()
+        #: Each open connection's handler task and its writer.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Per-route [bad, total] request counts behind the SLO gauges.
         self._slo_counts: dict[str, list[int]] = {}
         #: The one live stream session (docs/STREAM.md): created lazily
@@ -379,7 +386,7 @@ class ReproService:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self, sock: Any = None) -> None:
-        """Bind the socket and start the coalescer's drain task.
+        """Bind the socket and open the result cache and run store.
 
         ``sock`` optionally supplies an already-bound ``SO_REUSEPORT``
         socket — how supervisor workers share one port; ``None`` binds
@@ -400,7 +407,6 @@ class ReproService:
                     "run-history store unavailable (%s); continuing "
                     "without persistence", exc)
                 self.store = None
-        self.batcher.start()
         if sock is not None:
             self._server = await asyncio.start_server(
                 self._on_connection, sock=sock)
@@ -461,19 +467,23 @@ class ReproService:
         # Whatever is still connected now is either idle keep-alive or
         # past its drain budget: close the transports so the per-
         # connection tasks unblock from read_request and exit.
-        for writer in list(self._writers):
+        for writer in list(self._connections.values()):
             try:
                 writer.close()
             except Exception:  # noqa: BLE001 - already-dead transports
                 pass
         if server is not None:
             await server.wait_closed()
-        await self.batcher.stop()
+        # Let the handlers see their transports close and exit, rather
+        # than be cancelled mid-close when the event loop shuts down.
+        if self._connections:
+            await asyncio.wait(list(self._connections), timeout=1.0)
 
     # -- connection handling -------------------------------------------
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
+        task = asyncio.current_task()
+        self._connections[task] = writer
         try:
             while True:
                 try:
@@ -524,12 +534,13 @@ class ReproService:
                 asyncio.CancelledError):
             pass
         finally:
-            self._writers.discard(writer)
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                del self._connections[task]
 
     def _match(self, request: Request) -> tuple[
             str, Callable[[Request], Awaitable[_Response]] | None, bool]:
@@ -623,9 +634,13 @@ class ReproService:
         deadline_ms = request.header_float("x-repro-deadline-ms")
         deadline = (deadline_ms / 1000.0 if deadline_ms is not None
                     else self.config.deadline)
-        if deadline and deadline > 0:
+        if not (deadline and deadline > 0):
+            return await handler(request)
+        token = _DEADLINE.set(time.monotonic() + deadline)
+        try:
             return await asyncio.wait_for(handler(request), timeout=deadline)
-        return await handler(request)
+        finally:
+            _DEADLINE.reset(token)
 
     def _record(self, route: str, code: int, seconds: float,
                 method: str = "GET", *, span_id: str | None = None,
@@ -716,8 +731,14 @@ class ReproService:
                         "evaluation responses served from the TTL cache"
                     ).inc(kind=kind)
                     return _Response(200, body)
-            result = await self.batcher.submit(kind, payload,
-                                               trace_parent=_REQ_SPAN.get())
+            # The solve never suspends, so wait_for cannot cut it short:
+            # a request already past its deadline is refused here.
+            deadline = _DEADLINE.get()
+            if deadline is not None and time.monotonic() >= deadline:
+                raise asyncio.TimeoutError
+            # No suspension from the cache get above to the put below:
+            # a concurrent duplicate finds the stored body.
+            result = await self.batcher.submit(kind, payload)
             response = _json_response(200, result)
             if cache_key is not None:
                 self.cache.put(cache_key, response.body)

@@ -2,7 +2,7 @@
 
 Defaults are chosen for a loopback development server; the CLI's
 ``serve`` subcommand exposes the operationally interesting knobs
-(``--max-batch``, ``--max-inflight``, ``--rate``, …) and leaves the
+(``--max-inflight``, ``--rate``, ``--cache-ttl``, …) and leaves the
 rest at these values.  Validation happens at construction so a
 misconfigured server refuses to start instead of misbehaving under
 load.
@@ -26,11 +26,6 @@ class ServiceConfig:
     host, port:
         Bind address.  ``port=0`` asks the OS for an ephemeral port
         (the bound port is reported by ``ReproService.port``).
-    max_batch:
-        Hard cap on requests solved in one coalesced batch — the only
-        batching setting: the coalescer never waits on a timer, so each
-        batch is the first queued request plus whatever queues behind it
-        before an event-loop pass adds nothing.
     max_inflight:
         Admitted-but-unanswered request ceiling; request number
         ``max_inflight + 1`` is shed with ``503`` + ``Retry-After``.
@@ -41,12 +36,16 @@ class ServiceConfig:
     deadline:
         Default per-request deadline in seconds (``0`` = none).  A
         request may lower/raise its own via the ``X-Repro-Deadline-Ms``
-        header; expiry cancels the work and answers ``504``.
+        header; a request whose deadline has passed answers ``504``.
+        An evaluation checks it just before its inline solve, which is
+        never interrupted once started.
     cache_entries, cache_ttl:
         The TTL'd LRU response cache for the deterministic evaluation
         endpoints, one per process (each ``serve --workers N`` worker
         keeps its own).  ``cache_entries=0`` or ``cache_ttl=0`` disables
-        it.
+        it.  Evaluations are solved inline between the cache lookup and
+        store, so the cache is also the dedup layer: concurrent identical
+        requests cost one solve.
     jobs, no_result_cache, result_cache_dir:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk
@@ -97,7 +96,6 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8023
-    max_batch: int = 64
     max_inflight: int = 64
     rate: float = 0.0
     burst: float = 64.0
@@ -131,7 +129,7 @@ class ServiceConfig:
                     or value != value or value < minimum:
                 raise InvalidParameterError(
                     f"{name} must be a number >= {minimum}, got {value!r}")
-        for name, minimum in (("max_batch", 1), ("max_inflight", 1),
+        for name, minimum in (("max_inflight", 1),
                               ("jobs", 1), ("cache_entries", 0),
                               ("max_body_bytes", 1), ("max_header_bytes", 1)):
             value = getattr(self, name)

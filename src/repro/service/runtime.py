@@ -2,7 +2,8 @@
 
 :func:`run_service` owns an event loop for the life of the process —
 it is what ``repro-hetero serve`` calls, and it translates SIGINT/
-SIGTERM into a clean shutdown (drain the batcher, close the socket).
+SIGTERM into a clean shutdown (drain in-flight requests, close the
+socket).
 
 :class:`ServiceThread` hosts the same service on a background thread
 with its own loop and an ephemeral port — the harness used by the

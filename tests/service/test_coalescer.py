@@ -1,16 +1,14 @@
-"""The micro-batching coalescer, above all its bit-identity contract.
+"""The evaluation solver, above all its bit-identity contract.
 
-The serving layer's headline guarantee: for any batch of concurrent
-evaluation requests, every response is **bit-identical** to the response
-the same request would have produced in a batch of one (and to a direct
-library call).  The property test below drives randomised request mixes
-— duplicate-heavy so request collapsing, X-sharing and LP grouping all
-actually engage — and compares float-for-float with ``==`` (bit
-equality for non-NaN floats).
+The serving layer's headline guarantee: whatever else the solver has
+seen, every response is **bit-identical** to the response the same
+request gets when solved alone (and to a direct library call).  The
+property test below drives randomised request mixes — duplicate-heavy
+so request collapsing and X-sharing actually engage — and compares
+float-for-float with ``==`` (bit equality for non-NaN floats).
 """
 
 import asyncio
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +20,10 @@ from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
 from repro.io import allocation_to_dict
-from repro.obs.metrics import MetricsRegistry
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import lp_allocation
-from repro.service.coalescer import (FLUSH_REASONS, BatchSolver,
-                                     MicroBatcher, request_key, solve_batch)
+from repro.service.coalescer import (BatchSolver, MicroBatcher, request_key,
+                                     solve_batch)
 
 # A deliberately small pool: collisions are the point.
 _PROFILES = ((1.0, 0.5, 0.25), (0.9, 0.9, 0.1), (1.0, 0.75),
@@ -107,24 +104,6 @@ class TestBitIdentity:
             # ...which is the direct library answer.
             assert value == _expected(*request)
 
-    def test_lp_grouping_engages_and_stays_identical(self):
-        natural, reverse = _orders(3)
-        base = {"profile": (1.0, 0.5, 0.25), "params": PAPER_TABLE1,
-                "lifespan": 100.0, "protocol": "lp",
-                "enforce_separation": True}
-        requests = [("allocate", {**base, "startup_order": natural,
-                                  "finishing_order": natural}),
-                    ("allocate", {**base, "startup_order": reverse,
-                                  "finishing_order": natural}),
-                    ("allocate", {**base, "startup_order": natural,
-                                  "finishing_order": reverse})]
-        solver = BatchSolver()
-        outcomes = solver.solve(requests)
-        assert solver.lp_grouped == 3
-        for request, (ok, value) in zip(requests, outcomes):
-            assert ok
-            assert value == _expected(*request)
-
 
 class TestBatchSolver:
     def test_collapsing_counts_duplicates(self):
@@ -165,162 +144,14 @@ class TestBatchSolver:
 
 
 class TestMicroBatcher:
-    def test_concurrent_submits_coalesce_into_one_batch(self):
-        async def main():
-            batcher = MicroBatcher(max_batch=64)
-            batcher.start()
-            payload = {"profile": (1.0, 0.5, 0.25), "params": PAPER_TABLE1}
-            try:
-                results = await asyncio.gather(
-                    *(batcher.submit("x", payload) for _ in range(8)))
-            finally:
-                await batcher.stop()
-            return batcher, results
-        batcher, results = asyncio.run(main())
-        assert batcher.batches == 1
-        assert batcher.requests == 8
-        assert batcher.solver.collapsed == 7
-        assert all(r == results[0] for r in results)
-
-    def test_max_batch_one_disables_coalescing(self):
-        async def main():
-            batcher = MicroBatcher(max_batch=1)
-            batcher.start()
-            payload = {"profile": (1.0, 0.5), "params": PAPER_TABLE1}
-            try:
-                await asyncio.gather(
-                    *(batcher.submit("x", payload) for _ in range(4)))
-            finally:
-                await batcher.stop()
-            return batcher
-        batcher = asyncio.run(main())
-        assert batcher.batches == 4
-
     def test_error_propagates_as_exception(self):
-        async def main():
-            batcher = MicroBatcher(max_batch=4)
-            batcher.start()
-            bad = {"profile": (1.0, 0.5), "params": PAPER_TABLE1,
-                   "lifespan": 50.0, "protocol": "lp",
-                   "startup_order": (0, 0), "finishing_order": (0, 1),
-                   "enforce_separation": True}
-            try:
-                with pytest.raises(Exception):
-                    await batcher.submit("allocate", bad)
-            finally:
-                await batcher.stop()
-        asyncio.run(main())
-
-    def test_stop_fails_queued_requests(self):
-        async def main():
-            batcher = MicroBatcher(max_batch=64)
-            # Never started: queue a request by hand and stop.
-            future = asyncio.get_running_loop().create_future()
-            batcher._queue.put_nowait(("x", {}, future, None))
-            await batcher.stop()
-            with pytest.raises(ConnectionError):
-                future.result()
-        asyncio.run(main())
+        bad = {"profile": (1.0, 0.5), "params": PAPER_TABLE1,
+               "lifespan": 50.0, "protocol": "lp",
+               "startup_order": (0, 0), "finishing_order": (0, 1),
+               "enforce_separation": True}
+        with pytest.raises(Exception):
+            asyncio.run(MicroBatcher().submit("allocate", bad))
 
     def test_unknown_kind_rejected(self):
-        async def main():
-            batcher = MicroBatcher()
-            batcher.start()
-            try:
-                with pytest.raises(InvalidParameterError):
-                    await batcher.submit("nope", {})
-            finally:
-                await batcher.stop()
-        asyncio.run(main())
-
-    def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            MicroBatcher(max_batch=0)
-
-
-def _flushes(registry: MetricsRegistry) -> dict[str, float]:
-    counter = registry.counter("svc_batch_flush_total", "")
-    return {reason: counter.value(reason=reason)
-            for reason in FLUSH_REASONS if counter.value(reason=reason)}
-
-
-def _run_flush(scenario, *, max_batch: int = 64):
-    """Run ``scenario(batcher)`` on a started batcher.
-
-    Returns ``(scenario result, seconds taken, batcher, flush counts)``.
-    """
-    registry = MetricsRegistry()
-
-    async def main():
-        batcher = MicroBatcher(max_batch=max_batch, registry=registry)
-        batcher.start()
-        started = time.perf_counter()
-        try:
-            result = await scenario(batcher)
-        finally:
-            elapsed = time.perf_counter() - started
-            await batcher.stop()
-        return result, elapsed, batcher
-    result, elapsed, batcher = asyncio.run(main())
-    return result, elapsed, batcher, _flushes(registry)
-
-
-_P1 = {"profile": (1.0, 0.5, 0.25), "params": PAPER_TABLE1}
-_P2 = {"profile": (0.9, 0.9, 0.1), "params": PAPER_TABLE1}
-
-
-def _solved_alone(requests):
-    """Each request's answer from a batch of one."""
-    return [solve_batch([request])[0][1] for request in requests]
-
-
-class TestFlushPolicy:
-    """A batch is whatever queues before a loop pass adds nothing."""
-
-    def test_lone_submit_solves_at_once(self):
-        async def scenario(batcher):
-            return await batcher.submit("x", _P1)
-        result, elapsed, batcher, flushes = _run_flush(scenario)
-        assert result == {"x": x_measure(_P1["profile"], PAPER_TABLE1),
-                          "n": 3}
-        assert elapsed < 0.2
-        assert flushes == {"alone": 1}
-
-    def test_queued_requests_drain_into_one_batch(self):
-        async def scenario(batcher):
-            return await asyncio.gather(batcher.submit("x", _P1),
-                                        batcher.submit("x", _P2))
-        results, _, batcher, flushes = _run_flush(scenario)
-        assert (batcher.batches, batcher.requests) == (1, 2)
-        assert flushes == {"drained": 1}
-        assert results == _solved_alone([("x", _P1), ("x", _P2)])
-
-    def test_request_one_loop_pass_behind_joins_the_batch(self):
-        async def scenario(batcher):
-            first = asyncio.ensure_future(batcher.submit("x", _P1))
-            await asyncio.sleep(0)  # first is queued; the drain wakes next
-            second = asyncio.ensure_future(batcher.submit("x", _P2))
-            return await asyncio.gather(first, second)
-        results, _, batcher, flushes = _run_flush(scenario)
-        assert (batcher.batches, batcher.requests) == (1, 2)
-        assert flushes == {"drained": 1}
-        assert results == _solved_alone([("x", _P1), ("x", _P2)])
-
-    def test_later_request_does_not_hold_the_first(self):
-        async def scenario(batcher):
-            first = asyncio.ensure_future(batcher.submit("x", _P1))
-            await asyncio.sleep(0.05)
-            assert first.done()  # solved before its would-be companion
-            return await asyncio.gather(first, batcher.submit("x", _P2))
-        results, _, batcher, flushes = _run_flush(scenario)
-        assert (batcher.batches, batcher.requests) == (2, 2)
-        assert flushes == {"alone": 2}
-        assert results == _solved_alone([("x", _P1), ("x", _P2)])
-
-    def test_full_batch_leaves_the_rest_queued_for_the_next(self):
-        async def scenario(batcher):
-            return await asyncio.gather(
-                *(batcher.submit("x", _P1) for _ in range(5)))
-        _, _, batcher, flushes = _run_flush(scenario, max_batch=3)
-        assert (batcher.batches, batcher.requests) == (2, 5)
-        assert flushes == {"full": 1, "drained": 1}
+            asyncio.run(MicroBatcher().submit("nope", {}))

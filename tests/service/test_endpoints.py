@@ -116,7 +116,6 @@ class TestOperationalEndpoints:
             text = client.metrics_text()
         assert "# TYPE svc_requests_total counter" in text
         assert 'route="/v1/x"' in text
-        assert "svc_batch_size" in text
 
     def test_experiment_index(self, server):
         with server.client() as client:
@@ -203,8 +202,8 @@ class TestOperationalEndpoints:
 
 class TestBatchingOverHttp:
     def test_concurrent_identical_requests_share_one_solve(self, tmp_path):
-        config = ServiceConfig(port=0, max_batch=64,
-                               cache_entries=0,  # force the coalescer path
+        config = ServiceConfig(port=0,
+                               cache_entries=0,  # every request solves
                                no_result_cache=True)
         with ServiceThread(config, registry=MetricsRegistry()) as server:
             results, errors = [], []
@@ -225,11 +224,54 @@ class TestBatchingOverHttp:
             assert not errors
             assert len(set(results)) == 1
             assert results[0] == x_measure(Profile(PROFILE), PAPER_TABLE1)
-            # at least some requests must have shared a batch/solve
+            # at least some requests must have shared an X evaluation
             assert solver.collapsed + solver.xpool.hits > 0
 
+    def test_concurrent_identical_requests_are_one_solve(self, tmp_path):
+        # Each solve runs inline between the response cache's get and
+        # put without yielding, so every duplicate is a cache hit.
+        registry = MetricsRegistry()
+        config = ServiceConfig(port=0, no_result_cache=True, no_store=True)
+        with ServiceThread(config, registry=registry) as server:
+            connected, go = threading.Barrier(13), threading.Barrier(13)
+            held = threading.Event()
+            results, errors = [], []
+
+            def hammer():
+                try:
+                    with server.client() as client:
+                        client.healthz()  # connect before the herd
+                        connected.wait(timeout=10.0)
+                        go.wait(timeout=10.0)
+                        results.append(client.x(PROFILE))
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+            def hold_loop():
+                held.set()
+                time.sleep(0.5)
+
+            threads = [threading.Thread(target=hammer) for _ in range(12)]
+            for t in threads:
+                t.start()
+            connected.wait(timeout=10.0)
+            # Stall the server's loop while the herd sends, so all twelve
+            # requests are waiting together when it next runs.
+            server._loop.call_soon_threadsafe(hold_loop)
+            assert held.wait(timeout=10.0)
+            go.wait(timeout=10.0)
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            xpool = server.service.batcher.solver.xpool
+            assert not errors
+            assert results == [results[0]] * 12
+            assert xpool.hits + xpool.misses == 1
+        hits = registry.counter(
+            "svc_response_cache_hits_total", "").value(kind="x")
+        assert hits == 11
+
     def test_lone_request_does_not_wait_for_company(self, tmp_path):
-        # The coalescer dispatches whatever is queued at once.
         registry = MetricsRegistry()
         config = ServiceConfig(port=0, cache_entries=0,
                                no_result_cache=True, no_store=True)
@@ -241,8 +283,6 @@ class TestBatchingOverHttp:
                 elapsed = time.perf_counter() - started
         assert got["x"] == x_measure(Profile(PROFILE), PAPER_TABLE1)
         assert elapsed < 0.5
-        assert registry.counter("svc_batch_flush_total", "").value(
-            reason="alone") == 1
 
     def test_response_cache_serves_repeats(self, tmp_path):
         registry = MetricsRegistry()

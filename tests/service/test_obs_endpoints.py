@@ -82,16 +82,6 @@ class TestRecordSpan:
         assert span["attrs"]["method"] == "POST"
         assert span["dur"] >= 0.0
 
-    def test_coalesced_solve_parents_onto_request_span(self, tmp_path):
-        tracer = Tracer(keep_records=True)
-        with _boot(tmp_path, tracer=tracer) as server:
-            _, headers, _ = _raw_response(
-                server, "POST", "/v1/hecr", {"profile": PROFILE})
-        (batch_span,) = tracer.records_named("svc:batch")
-        assert batch_span["parent_id"] == headers["X-Repro-Span-Id"]
-        assert headers["X-Repro-Span-Id"] in batch_span["attrs"]["waiters"]
-        assert batch_span["attrs"]["flush"] == "alone"
-
 
 class TestMetricsSurfaces:
     def test_exposition_has_exemplars_and_slo_gauge(self, tmp_path):

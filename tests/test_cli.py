@@ -242,9 +242,9 @@ class TestHecr:
             assert err.count("\n") == 1  # one-line diagnostic, no traceback
 
     def test_invalid_serve_config_is_one_line_exit_2(self, capsys):
-        assert main(["serve", "--port", "0", "--max-batch", "0"]) == 2
+        assert main(["serve", "--port", "0", "--max-inflight", "0"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: InvalidParameterError: max_batch")
+        assert err.startswith("error: InvalidParameterError: max_inflight")
         assert err.count("\n") == 1
 
 
