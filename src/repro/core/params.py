@@ -73,7 +73,11 @@ class ModelParams:
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(float(value)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a double
+                finite = False
+            if not finite:
                 raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         if self.tau <= 0:
             raise InvalidParameterError(f"tau must be positive, got {self.tau!r}")

@@ -35,7 +35,7 @@ _SCHEMA_VERSION = 1
 
 def profile_to_dict(profile: Profile) -> dict[str, Any]:
     """Plain-dict form of a profile."""
-    return {"rho": [float(r) for r in profile]}
+    return {"rho": profile.rho.tolist()}
 
 
 def profile_from_dict(data: dict[str, Any]) -> Profile:
@@ -66,7 +66,7 @@ def allocation_to_dict(allocation: WorkAllocation) -> dict[str, Any]:
         "profile": profile_to_dict(allocation.profile),
         "params": params_to_dict(allocation.params),
         "lifespan": allocation.lifespan,
-        "w": [float(x) for x in allocation.w],
+        "w": allocation.w.tolist(),
         "startup_order": list(allocation.startup_order),
         "finishing_order": list(allocation.finishing_order),
         "protocol_name": allocation.protocol_name,

@@ -38,6 +38,10 @@ per request on the ``repro.service.access`` logger, and — unless
 disabled — one run-history-store row per ``/v1/*`` request and
 experiment dispatch.
 Every response carries ``X-Repro-Trace-Id`` / ``X-Repro-Span-Id``.
+
+Bodies are read and written with ``orjson``: the same doubles as the
+standard library's ``json`` both ways, an order of magnitude faster,
+with some exponents spelled differently (``1e-6`` for ``1e-06``).
 """
 
 from __future__ import annotations
@@ -46,9 +50,12 @@ import asyncio
 import contextvars
 import json
 import logging
+import math
 import time
 from pathlib import Path
 from typing import Any, Awaitable, Callable
+
+import orjson
 
 from repro import __version__
 from repro.core.params import PAPER_TABLE1, ModelParams
@@ -115,13 +122,25 @@ def _all_numbers(values: list | tuple) -> bool:
                                      for k in kinds)
 
 
+def _finite_float(obj: Any) -> float | None:
+    """``obj`` as a finite float, or None when it is no finite number
+    (a bool, NaN, ±inf, or an int too large for a double)."""
+    if not isinstance(obj, (int, float)) or isinstance(obj, bool):
+        return None
+    try:
+        value = float(obj)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _parse_profile(obj: Any) -> tuple[float, ...]:
     if not isinstance(obj, (list, tuple)) or not obj \
             or not _all_numbers(obj):
         raise InvalidProfileError(
             "profile must be a non-empty array of positive rho numbers")
     profile = Profile(obj)  # validates positivity / finiteness
-    return tuple(float(r) for r in profile)
+    return tuple(profile.rho.tolist())
 
 
 def _parse_lifespan(obj: Any, *, required: bool) -> float | None:
@@ -129,11 +148,11 @@ def _parse_lifespan(obj: Any, *, required: bool) -> float | None:
         if required:
             raise InvalidParameterError("lifespan is required")
         return None
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool) \
-            or obj != obj or not (0 < obj < float("inf")):
+    value = _finite_float(obj)
+    if value is None or value <= 0:
         raise InvalidParameterError(
             f"lifespan must be a positive finite number, got {obj!r}")
-    return float(obj)
+    return value
 
 
 def _parse_order(obj: Any, n: int, name: str) -> tuple[int, ...] | None:
@@ -193,11 +212,11 @@ def _parse_margin(obj: Any) -> float:
 
     if obj is None:
         return DEFAULT_MARGIN
-    if not isinstance(obj, (int, float)) or isinstance(obj, bool) \
-            or obj != obj or not (0.0 < obj <= 1.0):
+    value = _finite_float(obj)
+    if value is None or not 0.0 < value <= 1.0:
         raise InvalidParameterError(
             f"margin must be a number in (0, 1], got {obj!r}")
-    return float(obj)
+    return value
 
 
 def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
@@ -259,24 +278,6 @@ def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-def _cacheable_form(kind: str, payload: dict[str, Any]) -> dict[str, Any]:
-    """The canonical payload as plain JSON types (response-cache key)."""
-    params = payload["params"]
-    out: dict[str, Any] = {
-        "kind": kind,
-        "profile": list(payload["profile"]),
-        "params": {"tau": params.tau, "pi": params.pi, "delta": params.delta},
-    }
-    for field in ("lifespan", "protocol", "enforce_separation",
-                  "scheme_margin"):
-        if field in payload:
-            out[field] = payload[field]
-    for field in ("startup_order", "finishing_order", "scheme"):
-        if payload.get(field) is not None:
-            out[field] = list(payload[field])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the service
 # ---------------------------------------------------------------------------
@@ -295,11 +296,25 @@ class _Response:
         self.headers = headers or {}
 
 
+def _json_bytes(payload: Any) -> bytes:
+    """``payload`` as one line of compact JSON.
+
+    orjson writes NaN and ±inf as ``null``; a body holding ``null`` is
+    re-checked with the standard library, which raises on them, so a
+    non-finite answer is still a 500 and never a silent ``null``.  The
+    newline is concatenated rather than asked of orjson
+    (``OPT_APPEND_NEWLINE``): the copy is exact-size, where orjson's own
+    buffer is over-allocated and would stay so in the response cache.
+    """
+    body = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"null" in body:
+        json.dumps(payload, allow_nan=False)
+    return body + b"\n"
+
+
 def _json_response(status: int, payload: Any,
                    headers: dict[str, str] | None = None) -> _Response:
-    body = json.dumps(payload, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8") + b"\n"
-    return _Response(status, body, headers=headers)
+    return _Response(status, _json_bytes(payload), headers=headers)
 
 
 def _error_response(status: int, message: str,
@@ -493,8 +508,7 @@ class ReproService:
                 except HttpError as exc:
                     self._record(f"(malformed:{exc.status})", exc.status, 0.0)
                     writer.write(render_response(
-                        exc.status,
-                        json.dumps({"error": exc.message}).encode() + b"\n",
+                        exc.status, _json_bytes({"error": exc.message}),
                         keep_alive=exc.recoverable))
                     await writer.drain()
                     if not exc.recoverable:
@@ -511,8 +525,8 @@ class ReproService:
                         "requests shed by admission control, by reason"
                     ).inc(reason="draining")
                     writer.write(render_response(
-                        503, json.dumps({"error": "shed: draining",
-                                         "retry_after": 1.0}).encode() + b"\n",
+                        503, _json_bytes({"error": "shed: draining",
+                                          "retry_after": 1.0}),
                         extra_headers={"Retry-After": "1"},
                         keep_alive=False))
                     await writer.drain()
@@ -672,12 +686,12 @@ class ReproService:
                 (counts[0] / counts[1]) / (1.0 - self.config.slo_objective),
                 route=route)
         if _access_log.isEnabledFor(logging.INFO):
-            _access_log.info("%s", json.dumps({
+            _access_log.info("%s", orjson.dumps({
                 "route": route, "method": method, "status": code,
                 "latency_ms": round(seconds * 1000.0, 3),
                 "trace_id": self.tracer.trace_id, "span_id": span_id,
                 "shed": shed,
-            }, separators=(",", ":")))
+            }).decode())
         if (self.store is not None and route.startswith("/v1/")
                 and not route.startswith("/v1/obs")):
             self.store.record_run(
@@ -709,8 +723,8 @@ class ReproService:
         if not request.body:
             return {}
         try:
-            body = json.loads(request.body)
-        except ValueError as exc:
+            body = orjson.loads(request.body)
+        except orjson.JSONDecodeError as exc:
             raise InvalidParameterError(f"invalid JSON body: {exc}") from None
         if not isinstance(body, dict):
             raise InvalidParameterError("request body must be a JSON object")
@@ -722,8 +736,7 @@ class ReproService:
             payload = parse_eval_payload(kind, self._json_body(request))
             cache_key = None
             if self.cache.enabled:
-                cache_key = self.cache.key(f"/v1/{kind}",
-                                           _cacheable_form(kind, payload))
+                cache_key = self.cache.key(kind, payload)
                 body = self.cache.get(cache_key)
                 if body is not None:
                     self.registry.counter(

@@ -1,9 +1,13 @@
 """A TTL'd LRU cache for deterministic endpoint responses.
 
 Keys are content addresses in the style of the batch layer's
-:class:`~repro.batch.cache.ResultCache`: the SHA-256 of the canonical
-JSON form of ``(route, request payload, package version)``.  The
-version folds in so a code change invalidates every entry at once —
+:class:`~repro.batch.cache.ResultCache`: the SHA-256 of
+``(package version, request_key(kind, payload))``, where
+:func:`~repro.service.coalescer.request_key` is the solver's own
+identity of a validated request.  Requests that differ only in JSON
+spelling (key order, whitespace, omitted Table-1 ``params``, ``100``
+for ``100.0``) validate to the same payload and so share one entry.
+The version folds in so a code change invalidates every entry at once —
 the same contract that makes the on-disk result cache safe.
 
 Values are *rendered response bodies* (bytes), so a hit skips JSON
@@ -20,13 +24,15 @@ are byte-identical and nothing is written to disk.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable
 
+import orjson
+
 from repro import __version__
+from repro.service.coalescer import request_key
 
 __all__ = ["ResponseCache"]
 
@@ -54,12 +60,10 @@ class ResponseCache:
         return self.max_entries > 0 and self.ttl > 0
 
     @staticmethod
-    def key(route: str, payload: Any) -> str:
-        """The content address of one request (canonical-JSON SHA-256)."""
-        canonical = json.dumps(
-            {"route": route, "payload": payload, "version": __version__},
-            sort_keys=True, separators=(",", ":"), allow_nan=False)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def key(kind: str, payload: dict[str, Any]) -> str:
+        """The content address of one validated evaluation request."""
+        identity = orjson.dumps((__version__, request_key(kind, payload)))
+        return hashlib.sha256(identity).hexdigest()
 
     def get(self, key: str) -> bytes | None:
         """The live cached body, or None (expired entries are evicted)."""

@@ -75,7 +75,10 @@ def _finite(value: Any, field: str, *, minimum: float | None = None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StreamEventError(f"field {field!r} must be a number, "
                                f"got {value!r}", field=field)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int too large for a double
+        value = math.inf
     if not math.isfinite(value):
         raise StreamEventError(f"field {field!r} must be finite, "
                                f"got {value!r}", field=field)

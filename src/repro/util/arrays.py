@@ -43,8 +43,11 @@ def as_float_vector(values: Iterable[float], *, name: str = "values") -> np.ndar
         If the result is empty, not one-dimensional, or contains
         non-finite entries.
     """
-    arr = np.array(list(values) if not isinstance(values, (np.ndarray, Sequence)) else values,
-                   dtype=float, copy=True)
+    try:
+        arr = np.array(list(values) if not isinstance(values, (np.ndarray, Sequence))
+                       else values, dtype=float, copy=True)
+    except OverflowError:  # an int too large for a double
+        raise InvalidProfileError(f"{name} contains non-finite entries") from None
     if arr.ndim != 1:
         raise InvalidProfileError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -1,6 +1,12 @@
 """Unit tests for the TTL'd LRU response cache (repro.service.respcache)."""
 
+from repro.service.app import parse_eval_payload
 from repro.service.respcache import ResponseCache
+
+
+def _payload(kind="x", **body):
+    """A validated request payload, as the handler keys it."""
+    return parse_eval_payload(kind, {"profile": [1.0, 0.5], **body})
 
 
 class FakeClock:
@@ -14,24 +20,24 @@ class FakeClock:
 class TestResponseCache:
     def test_hit_and_miss(self):
         cache = ResponseCache(4, 10.0, clock=FakeClock())
-        key = cache.key("/v1/x", {"profile": [1.0, 0.5]})
+        key = cache.key("x", _payload())
         assert cache.get(key) is None
         cache.put(key, b'{"x":1}')
         assert cache.get(key) == b'{"x":1}'
         assert cache.hits == 1 and cache.misses == 1
 
     def test_keys_are_content_addresses(self):
-        a = ResponseCache.key("/v1/x", {"profile": [1.0, 0.5]})
-        b = ResponseCache.key("/v1/x", {"profile": [1.0, 0.5]})
-        c = ResponseCache.key("/v1/x", {"profile": [1.0, 0.25]})
-        d = ResponseCache.key("/v1/hecr", {"profile": [1.0, 0.5]})
+        a = ResponseCache.key("x", _payload())
+        b = ResponseCache.key("x", _payload())
+        c = ResponseCache.key("x", _payload(profile=[1.0, 0.25]))
+        d = ResponseCache.key("hecr", _payload("hecr"))
         assert a == b
         assert len({a, c, d}) == 3
 
     def test_key_folds_in_version(self, monkeypatch):
-        before = ResponseCache.key("/v1/x", {})
+        before = ResponseCache.key("x", _payload())
         monkeypatch.setattr("repro.service.respcache.__version__", "999.0")
-        assert ResponseCache.key("/v1/x", {}) != before
+        assert ResponseCache.key("x", _payload()) != before
 
     def test_ttl_expiry(self):
         clock = FakeClock()

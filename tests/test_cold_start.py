@@ -67,6 +67,13 @@ def test_cli_list_loads_no_solver_and_no_runner(tmp_path):
     assert json.loads(_python(code, tmp_path)) == {"scipy": [], "runners": []}
 
 
+def test_cli_list_does_not_load_the_service_codec(tmp_path):
+    # orjson is the service's codec; the CLI keeps the stdlib json.
+    code = ("import sys\nfrom repro.cli import main\n"
+            "assert main(['list']) == 0\nprint('orjson' in sys.modules)")
+    assert _python(code, tmp_path) == "False"
+
+
 def test_service_answers_without_solver_until_first_lp(tmp_path):
     heavy = {"tau": 0.5, "pi": 0.1, "delta": 1.0}
     code = f"""
