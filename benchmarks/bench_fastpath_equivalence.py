@@ -92,8 +92,12 @@ def _assert_matches_highs(profile: Profile, params: ModelParams,
                           lifespan: float, pairs, allocations) -> int:
     """Check each allocation against a direct HiGHS solve of its LP.
 
-    Every ``w`` must agree with ``linprog(method="highs")`` to 1e-9 of
-    max w; returns how many pairs the certificate sent to HiGHS.
+    A certified ``w`` is the unique optimum and must agree with
+    ``linprog(method="highs")`` to 1e-9 of max w.  An LP the
+    certificate rejects can have many optimal vertices, so the
+    simplex's answer must match HiGHS's objective to 1e-9 relative,
+    be feasible, and be certified by HiGHS's dual ``y``.  Returns how
+    many pairs the certificate sent to the simplex.
     """
     fallbacks = 0
     n = profile.n
@@ -101,11 +105,21 @@ def _assert_matches_highs(profile: Profile, params: ModelParams,
         A_ub = general._constraint_rows(
             profile.rho, params, general._positions(sigma, n),
             general._positions(phi, n), True)
-        oracle = linprog(c=-np.ones(n), A_ub=A_ub,
+        result = linprog(c=-np.ones(n), A_ub=A_ub,
                          b_ub=np.full(A_ub.shape[0], lifespan),
-                         bounds=[(0.0, None)] * n, method="highs").x
-        assert np.abs(alloc.w - oracle).max() <= 1e-9 * oracle.max()
-        fallbacks += general._certified_w(A_ub, lifespan) is None
+                         bounds=[(0.0, None)] * n, method="highs")
+        oracle, y = result.x, -result.ineqlin.marginals
+        w = alloc.w
+        if general._certified_w(A_ub, lifespan) is not None:
+            assert np.abs(w - oracle).max() <= 1e-9 * oracle.max()
+            continue
+        fallbacks += 1
+        assert abs(w.sum() - oracle.sum()) <= 1e-9 * oracle.sum()
+        assert (w >= 0.0).all()
+        assert (A_ub @ w).max() <= lifespan * (1.0 + 1e-9)
+        assert y.min() >= -1e-9 * y.max()
+        assert (A_ub.T @ y).min() >= 1.0 - 1e-9
+        assert abs(lifespan * y.sum() - w.sum()) <= 1e-9 * w.sum()
     return fallbacks
 
 
@@ -126,7 +140,7 @@ def _lp_speedup() -> dict[str, float]:
         assert np.array_equal(one.w, many.w)
     _assert_matches_highs(profile, params, 50.0, pairs, solve_batch())
     # Heavy communication: the certificate fails for some pairs, and
-    # those answers come from the HiGHS fallback.
+    # those answers come from the simplex fallback.
     heavy = ModelParams(tau=0.5, pi=0.1, delta=1.0)
     assert _assert_matches_highs(
         profile, heavy, 50.0, pairs,

@@ -1,18 +1,17 @@
 """Serving-layer throughput benchmark: response cache on vs off.
 
 Boots the service twice on a loopback ephemeral port — once with the
-default response cache and once with it off (``cache_ttl=0``) — and
+default response cache and once with it off (``cache_entries=0``) — and
 drives both with the same closed-loop multi-threaded herd of hot
 evaluation queries (``/v1/x``, ``/v1/hecr``, FIFO and LP
 ``/v1/allocate``).  Each evaluation is solved inline between the
 response cache's lookup and store, so the cache is the server's one
-dedup layer: with it on, a herd on a hot question costs one solve per
-TTL, and the measured difference is that layer's.  The LPs use heavy
+dedup layer: with it on, a herd on a hot question costs one solve, and
+the measured difference is that layer's.  The LPs use heavy
 communication (τ = 0.5, π = 0.1), which the duality certificate of
-:mod:`repro.protocols.general` rejects, so each one is a HiGHS solve of
-a few milliseconds; a Table-1 LP is certified in well under a
-millisecond and would leave the phases measuring the client and HTTP
-overhead instead of the solves the cache saves.
+:mod:`repro.protocols.general` rejects, so each one is a simplex
+solve; a Table-1 LP is certified in well under a millisecond and
+would leave the phases measuring the client and HTTP overhead instead of the solves the cache saves.
 
 A third phase overloads a deliberately tiny server (``max_inflight=2``
 plus a token bucket) and checks that overload is *shed* — 429/503 with a
@@ -58,8 +57,8 @@ _ROTATED = _NATURAL[1:] + _NATURAL[:1]
 
 #: Heavy-communication parameters for the LP queries.  At n=24 they fail
 #: the duality certificate for all three order pairs, so every LP is a
-#: HiGHS solve of a few milliseconds — enough to dominate per-request
-#: HTTP overhead.
+#: simplex solve of about half a millisecond, the most expensive query
+#: of the mix.
 _HEAVY = {"tau": 0.5, "pi": 0.1, "delta": 1.0}
 
 #: The request mix, LP-heavy because LP is the expensive hot query.
@@ -99,8 +98,9 @@ def _load_phase(config: ServiceConfig) -> tuple[dict, dict]:
     errors: list[str] = []
     registry = MetricsRegistry()
     with ServiceThread(config, registry=registry) as server:
-        # One untimed pass first: the first rejected LP in a process
-        # imports scipy, which must not land in either timed phase.
+        # One untimed pass first, so that one-off first-request costs
+        # (lazy imports of the solvers each route loads) land in neither
+        # timed phase.
         with server.client(timeout=30.0) as client:
             for _, call in _WORKLOAD:
                 call(client)
@@ -150,7 +150,7 @@ def _load_phase(config: ServiceConfig) -> tuple[dict, dict]:
 def _shed_phase() -> dict:
     """Overload a tiny server; overload must shed, not time out."""
     config = ServiceConfig(port=0, max_inflight=2, rate=150.0, burst=8.0,
-                           cache_ttl=0.0, no_result_cache=True)
+                           cache_entries=0, no_result_cache=True)
     counts = {"attempts": 0, "ok": 0, "shed_429": 0, "shed_503": 0,
               "timeouts": 0}
     hints: list[float] = []
@@ -193,7 +193,7 @@ def test_service_throughput(report_sink):
     check_mode = os.environ.get("REPRO_PERF_CHECK", "") == "1"
 
     cache_off, cache_off_responses = _load_phase(ServiceConfig(
-        port=0, cache_ttl=0.0, no_result_cache=True))
+        port=0, cache_entries=0, no_result_cache=True))
     cache_on, cache_on_responses = _load_phase(ServiceConfig(
         port=0, no_result_cache=True))
     speedup = cache_on["throughput_rps"] / cache_off["throughput_rps"]

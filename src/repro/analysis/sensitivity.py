@@ -116,8 +116,8 @@ def find_tau_crossover(p1: Profile, p2: Profile, *,
     Notes
     -----
     The difference can cross more than once in pathological cases; this
-    returns the first crossing found by a 64-point log-grid scan refined
-    with Brent's method.
+    returns the first crossing found by a 64-point log-grid scan,
+    refined by bisection until the bracket is at most ``xtol`` wide.
     """
     if p1.n != p2.n:
         raise InvalidParameterError(
@@ -125,22 +125,33 @@ def find_tau_crossover(p1: Profile, p2: Profile, *,
     if not (0 < tau_low < tau_high):
         raise InvalidParameterError("need 0 < tau_low < tau_high")
 
-    def diff(tau: float) -> float:
+    def sign(tau: float) -> float:
         params = ModelParams(tau=tau, pi=pi, delta=delta)
-        return x_measure(p1, params) - x_measure(p2, params)
+        return np.sign(x_measure(p1, params) - x_measure(p2, params))
 
     grid = np.geomspace(tau_low, tau_high, 64)
     # Vectorized grid scan: X over the whole τ-grid in one pass per
-    # profile.  Bit-identical to 64 scalar diff() calls — B is
+    # profile.  Bit-identical to 64 scalar sign() calls — B is
     # τ-independent and the row-wise cumprod/sum reduce in the same
-    # order as the 1-D ones — so the bracket brentq refines (with the
-    # scalar diff) is exactly the one the scalar scan would have found.
+    # order as the 1-D ones — so the bracket the bisection refines
+    # (with the scalar sign) is exactly the one a scalar scan finds.
     signs = np.sign(_x_tau_grid(p1.rho, grid, pi, delta)
                     - _x_tau_grid(p2.rho, grid, pi, delta))
     for k in range(grid.size - 1):
         if signs[k] != 0 and signs[k + 1] != 0 and signs[k] != signs[k + 1]:
-            from scipy.optimize import brentq  # deferred: ~0.2 s import
-            return float(brentq(diff, grid[k], grid[k + 1], xtol=xtol))
+            lo, hi = float(grid[k]), float(grid[k + 1])
+            while hi - lo > xtol:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # the bracket is one ulp wide
+                    break
+                at_mid = sign(mid)
+                if at_mid == 0:
+                    return mid
+                if at_mid == signs[k]:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
         if signs[k] == 0:
             return float(grid[k])
     return None

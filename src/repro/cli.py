@@ -150,12 +150,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline; 0 = none; a "
                             "request may override via X-Repro-Deadline-Ms "
                             "(default: 0)")
-    serve.add_argument("--cache-ttl", type=float, default=60.0,
-                       metavar="SECONDS",
-                       help="response-cache entry lifetime; 0 disables the "
-                            "cache (default: 60)")
     serve.add_argument("--cache-entries", type=int, default=1024, metavar="N",
-                       help="response-cache capacity (default: 1024)")
+                       help="response-cache capacity; 0 disables the cache "
+                            "(default: 1024)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="worker processes for experiment dispatch "
                             "(default: 1)")
@@ -597,8 +594,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, max_inflight=args.max_inflight,
         rate=args.rate, burst=args.burst, deadline=args.deadline,
-        cache_entries=args.cache_entries, cache_ttl=args.cache_ttl,
-        jobs=args.jobs, no_result_cache=args.no_cache,
+        cache_entries=args.cache_entries, jobs=args.jobs,
+        no_result_cache=args.no_cache,
         result_cache_dir=args.cache_dir,
         no_store=args.no_store, store_dir=args.store_dir,
         slo_latency=args.slo_latency, slo_objective=args.slo_objective,

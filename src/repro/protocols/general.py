@@ -37,13 +37,17 @@ meets the separation row, ``w`` is the optimum:
 * ``(y, 0)`` is dual feasible, since ``Sᵀ y = 1``;
 * the objectives agree: ``1ᵀw = yᵀS w = L·1ᵀy``;
 * ``y > 0`` makes every row tight at every optimum, so the optimum is
-  unique and is the vertex HiGHS would return, up to rounding.
+  unique.  When some ``y_c`` are at rounding level (Φ reversing Σ on a
+  large heavy-traffic cluster), other vertices lie within rounding of
+  the objective, and another solver may return one of them.
 
 The paper's regime (Table 1) passes at every cluster size tried, up to
 n = 128.  Heavy communication fails it on larger clusters (τ = 0.05,
-π = 0.01: some random pairs at n = 8, nearly all from n = 16), and
-those LPs go to :func:`scipy.optimize.linprog` (HiGHS), imported on
-first use.
+π = 0.01: some random pairs at n = 8, nearly all from n = 16).  Those
+LPs go to :func:`_simplex_w`, a dense tableau simplex in numpy that
+checks its own answer with the LP dual.  Their optimum need not be
+unique, so its ``w`` may be a different optimal vertex from another
+solver's, with the same ``Σ w``.
 """
 
 from __future__ import annotations
@@ -117,19 +121,85 @@ def _certified_w(A_ub: np.ndarray, lifespan: float) -> np.ndarray | None:
     return w
 
 
-def _highs_w(A_ub: np.ndarray, lifespan: float,
-             protocol_name: str) -> np.ndarray:
-    """The LP optimum from HiGHS, for LPs the certificate rejects."""
-    from scipy.optimize import linprog  # deferred: ~0.2 s, fallback only
+#: Relative tolerance of the simplex's duality certificate.
+_CERT_RTOL = 1e-9
+#: Dantzig pivots per tableau row+column before Bland's rule takes over.
+_DANTZIG_BUDGET = 2
+#: Total pivots per tableau row+column before the simplex gives up.
+_PIVOT_CAP = 20
 
-    n = A_ub.shape[1]
-    result = linprog(c=-np.ones(n), A_ub=A_ub,
-                     b_ub=np.full(A_ub.shape[0], lifespan),
-                     bounds=[(0.0, None)] * n, method="highs")
-    if not result.success:  # pragma: no cover - w = 0 is always feasible
+
+def _simplex_w(A_ub: np.ndarray, lifespan: float,
+               protocol_name: str) -> np.ndarray:
+    """The LP optimum by a dense tableau simplex, for LPs the certificate
+    rejects.
+
+    ``A ≥ 0`` and ``L > 0``, so the slack basis at ``w = 0`` is
+    feasible and no phase 1 is needed.  The entering column has the most
+    negative reduced cost (lowest index on ties) for the first
+    ``_DANTZIG_BUDGET·(m+n)`` pivots, then Bland's rule, which cannot
+    cycle.  The final tableau's slack reduced costs are the dual ``y``;
+    ``w`` is returned only when ``y ≥ 0``, ``Aᵀy ≥ 1`` and
+    ``L·1ᵀy = 1ᵀw`` hold to ``_CERT_RTOL`` and ``w`` meets every row.
+    Those make ``w`` optimal, whichever optimal vertex it is.
+
+    Raises
+    ------
+    InfeasibleScheduleError
+        If the certificate fails or the pivot cap is hit: a refused
+        request is better than an unverified ``w``.
+    """
+    m, n = A_ub.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A_ub
+    T[:m, n:n + m] = np.eye(m)
+    T[:m, -1] = lifespan
+    T[m, :n] = -1.0
+    basis = np.arange(n, n + m)
+    tol = 1e-12
+    for pivot in range(_PIVOT_CAP * (m + n)):
+        costs = T[m, :-1]
+        if pivot < _DANTZIG_BUDGET * (m + n):
+            j = int(np.argmin(costs))
+            if costs[j] >= -tol:
+                break
+        else:
+            candidates = np.flatnonzero(costs < -tol)
+            if candidates.size == 0:
+                break
+            j = int(candidates[0])
+        column = T[:m, j]
+        rows = np.flatnonzero(column > tol)
+        ratios = T[rows, -1] / column[rows]
+        tied = rows[ratios <= ratios.min() * (1.0 + tol)]
+        r = int(tied[np.argmin(basis[tied])])
+        T[r] /= T[r, j]
+        pivot_row = T[r].copy()
+        T -= np.outer(T[:, j], pivot_row)
+        T[r] = pivot_row
+        basis[r] = j
+    else:
         raise InfeasibleScheduleError(
-            f"LP solver failed for ({protocol_name}) protocol: {result.message}")
-    return np.clip(result.x, 0.0, None)
+            f"LP simplex for ({protocol_name}) protocol did not converge "
+            f"in {_PIVOT_CAP * (m + n)} pivots")
+    w = np.zeros(n)
+    in_w = basis < n
+    w[basis[in_w]] = T[:m, -1][in_w]
+    y = T[m, n:n + m]
+    dual_objective = lifespan * y.sum()
+    residuals = {  # each must be <= _CERT_RTOL; NaN fails
+        "y >= 0": -y.min() / np.abs(y).max(),
+        "A'y >= 1": 1.0 - (A_ub.T @ y).min(),
+        "L*sum(y) == sum(w)": abs(dual_objective - w.sum()) / dual_objective,
+        "w >= 0": -w.min() / lifespan,
+        "A w <= L": (A_ub @ w).max() / lifespan - 1.0,
+    }
+    for check, residual in residuals.items():
+        if not residual <= _CERT_RTOL:
+            raise InfeasibleScheduleError(
+                f"LP simplex for ({protocol_name}) protocol failed its "
+                f"duality certificate: {check} off by {residual:.3g}")
+    return np.clip(w, 0.0, None)
 
 
 def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
@@ -155,8 +225,8 @@ def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
     Raises
     ------
     InfeasibleScheduleError
-        If the LP solver fails (should not happen: w = 0 is always
-        feasible).
+        If a rejected LP's simplex answer fails its duality certificate
+        or its pivot cap (neither seen in testing).
     """
     (allocation,) = lp_allocation_many(
         profile, params, lifespan, [(startup_order, finishing_order)],
@@ -173,7 +243,7 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
     Builds every pair's constraint matrix in one broadcast pass (a
     ``(P, m, n)`` tensor instead of P × n Python-level row loops), then
     solves each pair on its own: the certified linear solve, else
-    HiGHS.  :func:`lp_allocation` is the one-pair call of this
+    :func:`_simplex_w`.  :func:`lp_allocation` is the one-pair call of this
     function, so each returned allocation is bit-identical to the
     corresponding :func:`lp_allocation` call.
     """
@@ -194,7 +264,7 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
     for (sigma, phi), A_ub in zip(validated, A_all):
         w = _certified_w(A_ub, L)
         if w is None:
-            w = _highs_w(A_ub, L, protocol_name)
+            w = _simplex_w(A_ub, L, protocol_name)
         allocations.append(WorkAllocation(
             profile=profile, params=params, lifespan=lifespan, w=w,
             startup_order=sigma, finishing_order=phi,

@@ -18,7 +18,7 @@ Layout
     Token-bucket rate limiting and the max-in-flight counter behind
     429/503 load shedding.
 :mod:`repro.service.respcache`
-    The TTL'd LRU response cache, one per process (keyed like the
+    The LRU response cache, one per process (keyed like the
     batch layer's :class:`~repro.batch.cache.ResultCache`).
 :mod:`repro.service.coalescer`
     Evaluation solving: each request is solved inline by its handler,

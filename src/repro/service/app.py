@@ -159,11 +159,11 @@ def _parse_order(obj: Any, n: int, name: str) -> tuple[int, ...] | None:
     if obj is None:
         return None
     if not isinstance(obj, (list, tuple)) \
-            or sorted(i for i in obj if isinstance(i, int)
-                      and not isinstance(i, bool)) != list(range(n)):
+            or not all(type(i) is int for i in obj) \
+            or sorted(obj) != list(range(n)):
         raise ProtocolError(
             f"{name} must be a permutation of 0..{n - 1}, got {obj!r}")
-    return tuple(int(i) for i in obj)
+    return tuple(obj)
 
 
 def _parse_scheme_body(obj: Any) -> tuple:
@@ -364,8 +364,7 @@ class ReproService:
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             rate=self.config.rate, burst=self.config.burst)
-        self.cache = ResponseCache(self.config.cache_entries,
-                                   self.config.cache_ttl)
+        self.cache = ResponseCache(self.config.cache_entries)
         self.batcher = MicroBatcher()
         self._server: asyncio.AbstractServer | None = None
         self._started_at = 0.0
@@ -741,7 +740,7 @@ class ReproService:
                 if body is not None:
                     self.registry.counter(
                         "svc_response_cache_hits_total",
-                        "evaluation responses served from the TTL cache"
+                        "evaluation responses served from the response cache"
                     ).inc(kind=kind)
                     return _Response(200, body)
             # The solve never suspends, so wait_for cannot cut it short:

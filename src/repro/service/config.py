@@ -2,7 +2,7 @@
 
 Defaults are chosen for a loopback development server; the CLI's
 ``serve`` subcommand exposes the operationally interesting knobs
-(``--max-inflight``, ``--rate``, ``--cache-ttl``, …) and leaves the
+(``--max-inflight``, ``--rate``, ``--cache-entries``, …) and leaves the
 rest at these values.  Validation happens at construction so a
 misconfigured server refuses to start instead of misbehaving under
 load.
@@ -39,13 +39,13 @@ class ServiceConfig:
         header; a request whose deadline has passed answers ``504``.
         An evaluation checks it just before its inline solve, which is
         never interrupted once started.
-    cache_entries, cache_ttl:
-        The TTL'd LRU response cache for the deterministic evaluation
-        endpoints, one per process (each ``serve --workers N`` worker
-        keeps its own).  ``cache_entries=0`` or ``cache_ttl=0`` disables
-        it.  Evaluations are solved inline between the cache lookup and
-        store, so the cache is also the dedup layer: concurrent identical
-        requests cost one solve.
+    cache_entries:
+        Capacity of the LRU response cache for the deterministic
+        evaluation endpoints, one per process (each ``serve --workers N``
+        worker keeps its own).  ``cache_entries=0`` disables it.
+        Evaluations are solved inline between the cache lookup and
+        store, so the cache is also the dedup layer: concurrent
+        identical requests cost one solve.
     jobs, no_result_cache, result_cache_dir:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk
@@ -101,7 +101,6 @@ class ServiceConfig:
     burst: float = 64.0
     deadline: float = 0.0
     cache_entries: int = 1024
-    cache_ttl: float = 60.0
     jobs: int = 1
     no_result_cache: bool = False
     result_cache_dir: str | None = None
@@ -122,8 +121,7 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if not (0 <= self.port <= 65535):
             raise InvalidParameterError(f"port must be in [0, 65535], got {self.port!r}")
-        for name, minimum in (("rate", 0.0), ("deadline", 0.0),
-                              ("cache_ttl", 0.0)):
+        for name, minimum in (("rate", 0.0), ("deadline", 0.0)):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) \
                     or value != value or value < minimum:

@@ -1,4 +1,4 @@
-"""A TTL'd LRU cache for deterministic endpoint responses.
+"""An LRU cache for deterministic endpoint responses.
 
 Keys are content addresses in the style of the batch layer's
 :class:`~repro.batch.cache.ResultCache`: the SHA-256 of
@@ -8,7 +8,9 @@ identity of a validated request.  Requests that differ only in JSON
 spelling (key order, whitespace, omitted Table-1 ``params``, ``100``
 for ``100.0``) validate to the same payload and so share one entry.
 The version folds in so a code change invalidates every entry at once —
-the same contract that makes the on-disk result cache safe.
+the same contract that makes the on-disk result cache safe.  Every body
+is a pure function of its key, so entries never expire; only the
+capacity evicts them.
 
 Values are *rendered response bodies* (bytes), so a hit skips JSON
 encoding as well as evaluation.  The store is a plain ``OrderedDict``
@@ -16,18 +18,16 @@ guarded by a lock: the server mutates it from the event-loop thread,
 but tests and the stats endpoint may peek from others.
 
 The cache is process-local: under ``serve --workers N`` each worker
-answers its own repeats, so a hot key costs at most N computes per
-TTL.  Every body is a pure function of its key, so the workers' bodies
-are byte-identical and nothing is written to disk.
+answers its own repeats, so a hot key costs at most N computes.  The
+workers' bodies are byte-identical and nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any
 
 import orjson
 
@@ -38,26 +38,23 @@ __all__ = ["ResponseCache"]
 
 
 class ResponseCache:
-    """Bounded mapping of content key → (expiry, response bytes).
+    """Bounded mapping of content key → response bytes.
 
-    ``max_entries=0`` or ``ttl=0`` turns the cache into a no-op (every
-    ``get`` misses, every ``put`` is dropped) so the server logic never
+    ``max_entries=0`` turns the cache into a no-op (every ``get``
+    misses, every ``put`` is dropped) so the server logic never
     branches on "is caching enabled".
     """
 
-    def __init__(self, max_entries: int, ttl: float,
-                 clock: Callable[[], float] = time.monotonic) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.max_entries = int(max_entries)
-        self.ttl = float(ttl)
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[float, bytes]] = OrderedDict()
+        self._entries: OrderedDict[str, bytes] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     @property
     def enabled(self) -> bool:
-        return self.max_entries > 0 and self.ttl > 0
+        return self.max_entries > 0
 
     @staticmethod
     def key(kind: str, payload: dict[str, Any]) -> str:
@@ -66,18 +63,15 @@ class ResponseCache:
         return hashlib.sha256(identity).hexdigest()
 
     def get(self, key: str) -> bytes | None:
-        """The live cached body, or None (expired entries are evicted)."""
+        """The cached body, or None."""
         if not self.enabled:
             return None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                expires, body = entry
-                if self._clock() < expires:
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                    return body
-                del self._entries[key]
+            body = self._entries.get(key)
+            if body is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+                return body
             self.misses += 1
         return None
 
@@ -86,7 +80,7 @@ class ResponseCache:
         if not self.enabled:
             return
         with self._lock:
-            self._entries[key] = (self._clock() + self.ttl, body)
+            self._entries[key] = body
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

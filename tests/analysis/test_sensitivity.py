@@ -66,6 +66,26 @@ class TestCrossover:
         sign_hi = np.sign(x_measure(p1, hi) - x_measure(p2, hi))
         assert sign_lo != sign_hi
 
+    @pytest.mark.parametrize("xtol", [1e-12, 1e-8, 1e-4])
+    def test_bisection_matches_brentq(self, xtol):
+        # scipy's Brent solver is the oracle for the bisection refine:
+        # both narrow the same grid bracket to within xtol of the root.
+        from scipy.optimize import brentq
+
+        p1, p2 = Profile([1.0, 0.05]), Profile([0.45, 0.45])
+        crossover = find_tau_crossover(p1, p2, pi=1e-5, delta=1.0,
+                                       tau_low=1e-6, tau_high=5.0, xtol=xtol)
+        assert crossover is not None
+        grid = np.geomspace(1e-6, 5.0, 64)
+        k = int(np.searchsorted(grid, crossover)) - 1
+
+        def diff(tau):
+            params = ModelParams(tau=tau, pi=1e-5, delta=1.0)
+            return x_measure(p1, params) - x_measure(p2, params)
+
+        oracle = brentq(diff, grid[k], grid[k + 1], xtol=xtol)
+        assert abs(crossover - oracle) <= xtol
+
     def test_size_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
             find_tau_crossover(Profile([1.0]), Profile([1.0, 0.5]))

@@ -84,6 +84,24 @@ class TestEvaluationEndpoints:
                     client.request("POST", path, payload)
                 assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("protocol", ["lp", "fifo"])
+    @pytest.mark.parametrize("field", ["startup_order", "finishing_order"])
+    @pytest.mark.parametrize("order", [[0, 1, "x"], [0, 1, None],
+                                       [0, 1, 1.5], [0, 1, True]],
+                             ids=["str", "null", "float", "bool"])
+    def test_non_int_order_element_is_400(self, server, protocol, field,
+                                          order):
+        # The two int elements alone would make a permutation of a
+        # two-computer profile; the third must be refused, not coerced.
+        with server.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("POST", "/v1/allocate",
+                               {"profile": [1.0, 0.5], "lifespan": 50.0,
+                                "protocol": protocol, field: order})
+        assert excinfo.value.status == 400
+        assert f"{field} must be a permutation" in excinfo.value.payload["error"]
+        assert repr(order) in excinfo.value.payload["error"]
+
     def test_malformed_json_body_is_400(self, server):
         import http.client
         conn = http.client.HTTPConnection(server.host, server.port)

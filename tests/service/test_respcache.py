@@ -1,4 +1,4 @@
-"""Unit tests for the TTL'd LRU response cache (repro.service.respcache)."""
+"""Unit tests for the LRU response cache (repro.service.respcache)."""
 
 from repro.service.app import parse_eval_payload
 from repro.service.respcache import ResponseCache
@@ -9,17 +9,9 @@ def _payload(kind="x", **body):
     return parse_eval_payload(kind, {"profile": [1.0, 0.5], **body})
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestResponseCache:
     def test_hit_and_miss(self):
-        cache = ResponseCache(4, 10.0, clock=FakeClock())
+        cache = ResponseCache(4)
         key = cache.key("x", _payload())
         assert cache.get(key) is None
         cache.put(key, b'{"x":1}')
@@ -39,18 +31,8 @@ class TestResponseCache:
         monkeypatch.setattr("repro.service.respcache.__version__", "999.0")
         assert ResponseCache.key("x", _payload()) != before
 
-    def test_ttl_expiry(self):
-        clock = FakeClock()
-        cache = ResponseCache(4, ttl=5.0, clock=clock)
-        cache.put("k", b"v")
-        clock.now = 4.9
-        assert cache.get("k") == b"v"
-        clock.now = 5.0
-        assert cache.get("k") is None
-        assert len(cache) == 0  # expired entries are evicted, not kept
-
     def test_lru_eviction_past_cap(self):
-        cache = ResponseCache(2, 100.0, clock=FakeClock())
+        cache = ResponseCache(2)
         cache.put("a", b"1")
         cache.put("b", b"2")
         assert cache.get("a") == b"1"  # refresh a
@@ -59,8 +41,9 @@ class TestResponseCache:
         assert cache.get("a") == b"1"
         assert cache.get("c") == b"3"
 
-    def test_disabled_when_zero_sized_or_zero_ttl(self):
-        for cache in (ResponseCache(0, 10.0), ResponseCache(10, 0.0)):
-            assert not cache.enabled
-            cache.put("k", b"v")
-            assert cache.get("k") is None
+    def test_disabled_when_zero_sized(self):
+        cache = ResponseCache(0)
+        assert not cache.enabled
+        cache.put("k", b"v")
+        assert cache.get("k") is None
+        assert len(cache) == 0

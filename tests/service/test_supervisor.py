@@ -61,7 +61,7 @@ class _RunningSupervisor:
 
 def _config(**overrides) -> ServiceConfig:
     defaults = dict(port=0, workers=2, no_store=True, drain_timeout=2.0,
-                    cache_ttl=0.0, cache_entries=0)
+                    cache_entries=0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -217,7 +217,7 @@ class TestResponseCache:
     """Each worker's response cache is in memory; none touches disk."""
 
     def test_fresh_responses_leave_only_metrics_dumps(self):
-        config = _config(workers=2, cache_ttl=60.0, cache_entries=1024,
+        config = _config(workers=2, cache_entries=1024,
                          metrics_flush_interval=0.05)
         with _RunningSupervisor(config) as running:
             run_dir = Path(running.supervisor._run_dir)
@@ -244,7 +244,7 @@ class TestResponseCache:
         assert left and all(dump.fullmatch(name) for name in left), left
 
     def test_repeats_are_byte_identical_across_workers(self):
-        config = _config(workers=2, cache_ttl=60.0, cache_entries=1024)
+        config = _config(workers=2, cache_entries=1024)
         payload = {"profile": [1.0, 0.5, 0.25]}
         with _RunningSupervisor(config) as running:
             bodies = {_post_raw(running.port, "/v1/x", payload)

@@ -1,14 +1,13 @@
 """Cold-start import hygiene: each command imports only what it runs.
 
-The paper's quantities (eq. (1)'s X, Proposition 1's HECR, the FIFO
-allocation) need only numpy; SciPy backs the LP scheduler alone.  These
-tests boot fresh interpreters — this one has long since imported
+The runtime needs numpy and orjson only; ``scipy`` is a test oracle.
+These tests boot fresh interpreters — this one has long since imported
 everything — and check that the CLI, the service and the stream twin
-come up without ``scipy`` or any experiment runner module, that a
-booted service answers x/hecr/FIFO without the simulator, that a
-paper-regime LP allocation is answered by the certified linear solve
-without the solver, and that the first LP the certificate rejects loads
-the solver on demand; both answer exactly as the library does.
+come up without ``scipy`` or any experiment runner module, and that a
+booted service answers x/hecr/FIFO without the simulator.  Interpreters
+in which ``import scipy`` fails answer a paper-regime LP (the certified
+linear solve) and a heavy-traffic one (the simplex) exactly as the
+library does, find a τ-crossover, and run ``protocol-optimality``.
 """
 
 import importlib
@@ -20,14 +19,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 import repro.experiments
+from repro.analysis.sensitivity import find_tau_crossover
 from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
 from repro.experiments import base
 from repro.io import allocation_to_dict
+from repro.protocols import general
 from repro.protocols.general import lp_allocation
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -43,6 +45,10 @@ _LOADED = (
     "    'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
     "    'runners': sorted(runners & set(sys.modules))}))\n"
 )
+
+
+#: Makes every later ``import scipy`` (or any ``scipy.*``) fail.
+_BLOCK_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
 
 
 def _python(code: str, tmp_path) -> str:
@@ -74,15 +80,12 @@ def test_cli_list_does_not_load_the_service_codec(tmp_path):
     assert _python(code, tmp_path) == "False"
 
 
-def test_service_answers_without_solver_until_first_lp(tmp_path):
+def test_service_answers_every_lp_without_scipy(tmp_path):
     heavy = {"tau": 0.5, "pi": 0.1, "delta": 1.0}
-    code = f"""
-import json, sys
+    code = _BLOCK_SCIPY + f"""
+import json
 from repro.obs.metrics import MetricsRegistry
 from repro.service import ServiceConfig, ServiceThread
-
-def scipy_loaded():
-    return any(m.split('.')[0] == 'scipy' for m in sys.modules)
 
 def simulator_modules():
     return sorted(m for m in sys.modules
@@ -96,29 +99,46 @@ with ServiceThread(config, registry=MetricsRegistry()) as server:
         client.x(profile)
         client.hecr(profile)
         client.allocate(profile, lifespan=100.0, protocol='fifo')
-        before = scipy_loaded()
         simulator = simulator_modules()
         lp = client.allocate(profile, lifespan=100.0, protocol='lp')
-        certified = scipy_loaded()
         heavy_lp = client.allocate(profile, lifespan=100.0, protocol='lp',
                                    params={heavy!r})
-print(json.dumps({{'before': before, 'certified': certified,
-                  'after': scipy_loaded(), 'simulator': simulator,
-                  'lp': lp, 'heavy_lp': heavy_lp}}))
+print(json.dumps({{'simulator': simulator, 'lp': lp, 'heavy_lp': heavy_lp}}))
 """
     out = json.loads(_python(code, tmp_path))
-    assert out["before"] is False
     # Boot and the x/hecr/FIFO answers load no simulator module.
     assert out["simulator"] == []
-    # A Table-1 LP passes the certificate; the heavy one falls back.
-    assert out["certified"] is False
-    assert out["after"] is True
-    for key, params in (("lp", PAPER_TABLE1),
-                        ("heavy_lp", ModelParams(**heavy))):
-        allocation = lp_allocation(Profile([1.0, 0.5, 0.25]), params, 100.0,
+    # A Table-1 LP passes the certificate; the heavy one is rejected
+    # and solved by the simplex.
+    profile, natural = Profile([1.0, 0.5, 0.25]), np.arange(3)
+    for key, params, certified in (("lp", PAPER_TABLE1, True),
+                                   ("heavy_lp", ModelParams(**heavy), False)):
+        A_ub = general._constraint_rows(profile.rho, params, natural,
+                                        natural, True)
+        assert (general._certified_w(A_ub, 100.0) is not None) is certified
+        allocation = lp_allocation(profile, params, 100.0,
                                    (0, 1, 2), (0, 1, 2))
         assert out[key] == {"allocation": allocation_to_dict(allocation),
                             "total_work": float(allocation.w.sum())}
+
+
+def test_crossover_and_protocol_optimality_run_without_scipy(tmp_path):
+    code = _BLOCK_SCIPY + """
+from repro.analysis.sensitivity import find_tau_crossover
+from repro.cli import main
+from repro.core.profile import Profile
+assert main(['run', 'protocol-optimality', '--no-cache', '--no-store',
+             '--output', 'optimality.txt']) == 0
+print(repr(find_tau_crossover(Profile([1.0, 0.05]), Profile([0.45, 0.45]),
+                              pi=1e-5, delta=1.0, tau_low=1e-6,
+                              tau_high=5.0)))
+"""
+    crossover = find_tau_crossover(Profile([1.0, 0.05]), Profile([0.45, 0.45]),
+                                   pi=1e-5, delta=1.0, tau_low=1e-6,
+                                   tau_high=5.0)
+    assert crossover is not None
+    assert _python(code, tmp_path) == repr(crossover)
+    assert (tmp_path / "optimality.txt").read_text().strip()
 
 
 class TestLazyRegistry:
