@@ -33,6 +33,7 @@ recording.  Every write path catches ``sqlite3.Error`` and degrades to
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sqlite3
@@ -105,6 +106,23 @@ def _json_or_none(document: Any) -> str | None:
         return None
 
 
+def _run_row(*, kind: str, label: str = "", trace_id: str | None = None,
+             cache_key: str | None = None, status: str = "ok",
+             started_at: float | None = None,
+             wall_seconds: float | None = None, metrics: dict | None = None,
+             extra: dict | None = None, run_id: str | None = None) -> tuple:
+    """One ``runs`` row, in ``_INSERT_RUN``'s column order."""
+    return (run_id or new_span_id(), kind, label, trace_id, cache_key, status,
+            started_at if started_at is not None else time.time(),
+            wall_seconds, _json_or_none(metrics), _json_or_none(extra),
+            _SCHEMA_VERSION)
+
+
+_INSERT_RUN = ("INSERT OR REPLACE INTO runs (run_id, kind, label, trace_id, "
+               "cache_key, status, started_at, wall_seconds, metrics, extra, "
+               "schema_version) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)")
+
+
 def _loads_or_none(text: str | None) -> Any:
     if not text:
         return None
@@ -168,24 +186,37 @@ class RunStore:
         where one applies, so a stored run can be joined back to the
         cache entry it produced or reused.
         """
-        run_id = run_id or new_span_id()
-        row = (run_id, kind, label, trace_id, cache_key, status,
-               started_at if started_at is not None else time.time(),
-               wall_seconds, _json_or_none(metrics), _json_or_none(extra),
-               _SCHEMA_VERSION)
-        try:
-            with self._lock:
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO runs (run_id, kind, label, "
-                    "trace_id, cache_key, status, started_at, "
-                    "wall_seconds, metrics, extra, schema_version) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)", row)
-                self._conn.commit()
-        except sqlite3.Error:
+        row = _run_row(kind=kind, label=label, trace_id=trace_id,
+                       cache_key=cache_key, status=status,
+                       started_at=started_at, wall_seconds=wall_seconds,
+                       metrics=metrics, extra=extra, run_id=run_id)
+        if not self._insert_runs([row]):
             return None
         if spans:
-            self.add_spans(run_id, spans, trace_id=trace_id)
-        return run_id
+            self.add_spans(row[0], spans, trace_id=trace_id)
+        return row[0]
+
+    def record_runs(self, runs: Iterable[dict[str, Any]]) -> int:
+        """Persist many runs in one transaction; returns how many.
+
+        Each item holds :meth:`record_run`'s keyword arguments other
+        than ``spans``.  The write is all or nothing: 0 when it failed.
+        """
+        rows = [_run_row(**run) for run in runs]
+        return len(rows) if rows and self._insert_runs(rows) else 0
+
+    def _insert_runs(self, rows: list[tuple]) -> bool:
+        """One ``executemany`` and one commit; False, with nothing
+        written, if sqlite refused."""
+        with self._lock:
+            try:
+                self._conn.executemany(_INSERT_RUN, rows)
+                self._conn.commit()
+            except sqlite3.Error:
+                with contextlib.suppress(sqlite3.Error):
+                    self._conn.rollback()
+                return False
+        return True
 
     def add_spans(self, run_id: str, records: Iterable[dict], *,
                   trace_id: str | None = None) -> int:

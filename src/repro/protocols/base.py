@@ -17,7 +17,8 @@ This module defines the :class:`Protocol` interface and the
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,17 +31,26 @@ __all__ = ["WorkAllocation", "Protocol", "validate_order"]
 
 
 def validate_order(order: Sequence[int], n: int, *, name: str = "order") -> tuple[int, ...]:
-    """Validate that ``order`` is a permutation of ``range(n)``.
+    """Check that ``order`` is a permutation of ``range(n)``, exactly.
 
-    Returns the order as a tuple of plain ints.
+    Elements must be integers (Python or NumPy); a bool or a float, even
+    an integral one, is refused rather than truncated.  Returns the order
+    as a tuple of plain ints.
     """
     try:
-        tup = tuple(int(i) for i in order)
-    except (TypeError, ValueError) as exc:
+        tup = tuple(order)
+    except TypeError as exc:
         raise ProtocolError(f"{name} must be a sequence of integers: {exc}") from exc
-    if sorted(tup) != list(range(n)):
+    kinds = set(map(type, tup))
+    if not kinds <= {int}:
+        exact = not any(issubclass(k, (bool, np.bool_)) for k in kinds)
+        try:
+            tup = tuple(map(operator.index, tup)) if exact else None
+        except TypeError:
+            tup = None
+    if tup is None or sorted(tup) != list(range(n)):
         raise ProtocolError(
-            f"{name} must be a permutation of range({n}), got {tup!r}")
+            f"{name} must be a permutation of range({n}), got {order!r}")
     return tup
 
 
@@ -69,6 +79,11 @@ class WorkAllocation:
         its results k-th.
     protocol_name:
         Human-readable name of the producing protocol.
+    orders_checked:
+        Construction-only flag: True when both orders are already what
+        :func:`validate_order` returned for this profile (the solvers
+        pass it for orders they checked or generated), so they are not
+        checked again.
 
     Notes
     -----
@@ -85,8 +100,9 @@ class WorkAllocation:
     startup_order: tuple[int, ...]
     finishing_order: tuple[int, ...]
     protocol_name: str = field(default="custom")
+    orders_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, orders_checked: bool) -> None:
         n = self.profile.n
         w = np.asarray(self.w, dtype=float)
         if w.shape != (n,):
@@ -97,10 +113,11 @@ class WorkAllocation:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "startup_order",
-                           validate_order(self.startup_order, n, name="startup_order"))
-        object.__setattr__(self, "finishing_order",
-                           validate_order(self.finishing_order, n, name="finishing_order"))
+        if not orders_checked:
+            object.__setattr__(self, "startup_order",
+                               validate_order(self.startup_order, n, name="startup_order"))
+            object.__setattr__(self, "finishing_order",
+                               validate_order(self.finishing_order, n, name="finishing_order"))
         if self.lifespan <= 0 or not np.isfinite(self.lifespan):
             raise ProtocolError(f"lifespan must be positive and finite, got {self.lifespan!r}")
 

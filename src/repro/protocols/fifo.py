@@ -68,6 +68,30 @@ def fifo_saturation_index(profile: Profile, params: ModelParams) -> float:
     return params.A * x_measure(profile, params)
 
 
+def _fifo_fractions(profile: Profile, params: ModelParams,
+                    order: tuple[int, ...] | None) -> np.ndarray:
+    """:func:`fifo_work_fractions` for an order :func:`validate_order`
+    returned, or profile order when ``order`` is None."""
+    n = profile.n
+    rho = profile.rho
+    if order is not None:
+        index = np.asarray(order)
+        rho = rho[index]
+    A, B, td = params.A, params.B, params.tau_delta
+    # w_{k+1}/w_k = (Bρ_k + τδ)/(Bρ_{k+1} + A):
+    # numerators are shifted relative to denominators by one position.
+    ratios = np.ones(n)
+    if n > 1:
+        ratios[1:] = (B * rho[:-1] + td) / (B * rho[1:] + A)
+    w_rel = np.cumprod(ratios)           # w_k / w_1
+    fractions_in_order = w_rel / w_rel.sum()
+    if order is None:
+        return fractions_in_order
+    out = np.empty(n)
+    out[index] = fractions_in_order
+    return out
+
+
 def fifo_work_fractions(profile: Profile, params: ModelParams,
                         startup_order: Sequence[int] | None = None) -> np.ndarray:
     """Per-computer share of the total work under FIFO, profile-indexed.
@@ -91,25 +115,14 @@ def fifo_work_fractions(profile: Profile, params: ModelParams,
     numpy.ndarray
         Shape ``(n,)``, aligned with profile indices, summing to 1.
     """
-    n = profile.n
-    order = validate_order(startup_order if startup_order is not None else range(n), n,
-                           name="startup_order")
-    rho = profile.rho[np.asarray(order)]
-    A, B, td = params.A, params.B, params.tau_delta
-    # w_{k+1}/w_k = (Bρ_k + τδ)/(Bρ_{k+1} + A):
-    # numerators are shifted relative to denominators by one position.
-    ratios = np.ones(n)
-    if n > 1:
-        ratios[1:] = (B * rho[:-1] + td) / (B * rho[1:] + A)
-    w_rel = np.cumprod(ratios)           # w_k / w_1
-    fractions_in_order = w_rel / w_rel.sum()
-    out = np.empty(n)
-    out[np.asarray(order)] = fractions_in_order
-    return out
+    order = (None if startup_order is None else
+             validate_order(startup_order, profile.n, name="startup_order"))
+    return _fifo_fractions(profile, params, order)
 
 
 def fifo_allocation(profile: Profile, params: ModelParams, lifespan: float,
-                    startup_order: Sequence[int] | None = None) -> WorkAllocation:
+                    startup_order: Sequence[int] | None = None, *,
+                    orders_checked: bool = False) -> WorkAllocation:
     """Exact FIFO work allocation over a lifespan ``L``.
 
     The total work equals Theorem 2's ``W(L;P) = L/(τδ + 1/X(P))`` and
@@ -125,14 +138,25 @@ def fifo_allocation(profile: Profile, params: ModelParams, lifespan: float,
         The CEP lifespan ``L > 0``.
     startup_order:
         Σ (and, FIFO being FIFO, also Φ); defaults to profile order.
+    orders_checked:
+        True when ``startup_order`` is already what
+        :func:`~repro.protocols.base.validate_order` returned for this
+        profile (a caller that checked it at its own boundary), so it is
+        not checked again.
     """
     if lifespan <= 0 or not np.isfinite(lifespan):
         raise ProtocolError(f"lifespan must be positive and finite, got {lifespan!r}")
     n = profile.n
-    order = validate_order(startup_order if startup_order is not None else range(n), n,
-                           name="startup_order")
+    if startup_order is None:
+        order = None
+    elif orders_checked:
+        order = startup_order
+    else:
+        order = validate_order(startup_order, n, name="startup_order")
     total = lifespan / (params.tau_delta + 1.0 / x_measure(profile, params))
-    w = total * fifo_work_fractions(profile, params, order)
+    w = total * _fifo_fractions(profile, params, order)
+    if order is None:
+        order = tuple(range(n))
     return WorkAllocation(
         profile=profile,
         params=params,
@@ -141,6 +165,7 @@ def fifo_allocation(profile: Profile, params: ModelParams, lifespan: float,
         startup_order=order,
         finishing_order=order,
         protocol_name="FIFO",
+        orders_checked=True,
     )
 
 

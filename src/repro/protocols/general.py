@@ -237,7 +237,8 @@ def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
 def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
                        pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
                        *, enforce_separation: bool = True,
-                       protocol_name: str = "LP") -> list[WorkAllocation]:
+                       protocol_name: str = "LP",
+                       orders_checked: bool = False) -> list[WorkAllocation]:
     """Solve many (Σ, Φ) protocol pairs of one cluster as a batch.
 
     Builds every pair's constraint matrix in one broadcast pass (a
@@ -245,16 +246,20 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
     solves each pair on its own: the certified linear solve, else
     :func:`_simplex_w`.  :func:`lp_allocation` is the one-pair call of this
     function, so each returned allocation is bit-identical to the
-    corresponding :func:`lp_allocation` call.
+    corresponding :func:`lp_allocation` call.  ``orders_checked=True``
+    says every order is already what
+    :func:`~repro.protocols.base.validate_order` returned for this
+    profile (a caller that checked them at its own boundary), so they
+    are not checked again.
     """
     if lifespan <= 0 or not np.isfinite(lifespan):
         raise ProtocolError(f"lifespan must be positive and finite, got {lifespan!r}")
     if not pairs:
         return []
     n = profile.n
-    validated = [(validate_order(s, n, name="startup_order"),
-                  validate_order(f, n, name="finishing_order"))
-                 for s, f in pairs]
+    validated = pairs if orders_checked else [
+        (validate_order(s, n, name="startup_order"),
+         validate_order(f, n, name="finishing_order")) for s, f in pairs]
     spos = np.stack([_positions(s, n) for s, _ in validated])
     fpos = np.stack([_positions(f, n) for _, f in validated])
     A_all = _constraint_rows(profile.rho, params, spos, fpos,
@@ -268,7 +273,7 @@ def lp_allocation_many(profile: Profile, params: ModelParams, lifespan: float,
         allocations.append(WorkAllocation(
             profile=profile, params=params, lifespan=lifespan, w=w,
             startup_order=sigma, finishing_order=phi,
-            protocol_name=protocol_name))
+            protocol_name=protocol_name, orders_checked=True))
     return allocations
 
 
@@ -289,8 +294,9 @@ class GeneralProtocol(Protocol):
     def __init__(self, startup_order: Sequence[int],
                  finishing_order: Sequence[int],
                  *, enforce_separation: bool = True) -> None:
-        self._sigma = tuple(int(i) for i in startup_order)
-        self._phi = tuple(int(i) for i in finishing_order)
+        # Kept as given: lp_allocation checks them against the cluster.
+        self._sigma = tuple(startup_order)
+        self._phi = tuple(finishing_order)
         self._enforce_separation = enforce_separation
 
     def allocate(self, profile: Profile, params: ModelParams,

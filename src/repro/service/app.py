@@ -35,8 +35,8 @@ one ``svc:<route>`` span record per request (emitted pre-timed via
 ``Tracer.record_span`` because asyncio tasks interleave and must not
 share the tracer's thread-local span stack), a JSON access-log line
 per request on the ``repro.service.access`` logger, and — unless
-disabled — one run-history-store row per ``/v1/*`` request and
-experiment dispatch.
+disabled — one run-history-store row per ``/v1/*`` request (buffered
+and written in batches off the request path) and experiment dispatch.
 Every response carries ``X-Repro-Trace-Id`` / ``X-Repro-Span-Id``.
 
 Bodies are read and written with ``orjson``: the same doubles as the
@@ -48,13 +48,13 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import json
 import logging
 import math
 import time
 from pathlib import Path
 from typing import Any, Awaitable, Callable
 
+import numpy as np
 import orjson
 
 from repro import __version__
@@ -68,6 +68,7 @@ from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.store import RunStore, default_store_path
 from repro.obs.tracing import Observation, Tracer, new_span_id, observe
+from repro.protocols.base import validate_order
 from repro.service.admission import AdmissionController
 from repro.service.coalescer import MicroBatcher
 from repro.service.config import ServiceConfig
@@ -93,6 +94,10 @@ _DEADLINE: contextvars.ContextVar[float | None] = contextvars.ContextVar(
     "repro_request_deadline", default=None)
 
 _access_log = logging.getLogger("repro.service.access")
+
+#: Seconds a ``/v1/*`` request's run-store row may wait in memory before
+#: a flush writes it, batched with its neighbours (docs/OBSERVABILITY.md).
+_STORE_FLUSH_SECONDS = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +139,12 @@ def _finite_float(obj: Any) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _parse_profile(obj: Any) -> tuple[float, ...]:
+def _parse_profile(obj: Any) -> Profile:
     if not isinstance(obj, (list, tuple)) or not obj \
             or not _all_numbers(obj):
         raise InvalidProfileError(
             "profile must be a non-empty array of positive rho numbers")
-    profile = Profile(obj)  # validates positivity / finiteness
-    return tuple(profile.rho.tolist())
+    return Profile(obj)  # validates positivity / finiteness
 
 
 def _parse_lifespan(obj: Any, *, required: bool) -> float | None:
@@ -158,12 +162,10 @@ def _parse_lifespan(obj: Any, *, required: bool) -> float | None:
 def _parse_order(obj: Any, n: int, name: str) -> tuple[int, ...] | None:
     if obj is None:
         return None
-    if not isinstance(obj, (list, tuple)) \
-            or not all(type(i) is int for i in obj) \
-            or sorted(obj) != list(range(n)):
+    if not isinstance(obj, (list, tuple)):
         raise ProtocolError(
-            f"{name} must be a permutation of 0..{n - 1}, got {obj!r}")
-    return tuple(obj)
+            f"{name} must be a permutation of range({n}), got {obj!r}")
+    return validate_order(obj, n, name=name)
 
 
 def _parse_scheme_body(obj: Any) -> tuple:
@@ -225,15 +227,20 @@ def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     The canonical payload is what the solver keys and solves on:
     profile as a float tuple, params as :class:`ModelParams`, orders as
     int tuples.  Raising here (client error → 400) keeps garbage out of
-    the batch solver entirely.
+    the batch solver entirely.  Every field is checked once, here:
+    ``"checked_profile"`` holds the :class:`Profile` built while checking
+    the profile, and tells the solver to pass it and the orders on to
+    the library without checking them again.
     """
     if not isinstance(body, dict):
         raise InvalidParameterError("request body must be a JSON object")
+    profile = _parse_profile(body.get("profile"))
     payload: dict[str, Any] = {
-        "profile": _parse_profile(body.get("profile")),
+        "profile": tuple(profile.rho.tolist()),
         "params": _parse_params(body.get("params")),
+        "checked_profile": profile,
     }
-    n = len(payload["profile"])
+    n = profile.n
     if kind == "work":
         payload["lifespan"] = _parse_lifespan(body.get("lifespan"),
                                               required=False)
@@ -296,19 +303,34 @@ class _Response:
         self.headers = headers or {}
 
 
+def _all_finite(obj: Any) -> bool:
+    """Whether every float in a JSON-able ``obj`` is finite."""
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(map(_all_finite, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return all(map(_all_finite, obj))
+    if isinstance(obj, np.floating):
+        return bool(np.isfinite(obj))
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return bool(np.isfinite(obj).all())
+    return True
+
+
 def _json_bytes(payload: Any) -> bytes:
     """``payload`` as one line of compact JSON.
 
-    orjson writes NaN and ±inf as ``null``; a body holding ``null`` is
-    re-checked with the standard library, which raises on them, so a
-    non-finite answer is still a 500 and never a silent ``null``.  The
-    newline is concatenated rather than asked of orjson
-    (``OPT_APPEND_NEWLINE``): the copy is exact-size, where orjson's own
-    buffer is over-allocated and would stay so in the response cache.
+    orjson writes NaN and ±inf as ``null``; a body holding ``null`` has
+    its floats checked, so a non-finite answer is still a 500 and never
+    a silent ``null``.  The newline is concatenated rather than asked of
+    orjson (``OPT_APPEND_NEWLINE``): the copy is exact-size, where
+    orjson's own buffer is over-allocated and would stay so in the
+    response cache.
     """
     body = orjson.dumps(payload, option=orjson.OPT_SERIALIZE_NUMPY)
-    if b"null" in body:
-        json.dumps(payload, allow_nan=False)
+    if b"null" in body and not _all_finite(payload):
+        raise ValueError("Out of range float values are not JSON compliant")
     return body + b"\n"
 
 
@@ -370,6 +392,10 @@ class ReproService:
         self._started_at = 0.0
         self._result_cache = None
         self.store: RunStore | None = None
+        #: Request rows not yet in the store, and the timer that will
+        #: flush them (armed by the first row after a flush).
+        self._store_rows: list[dict[str, Any]] = []
+        self._store_flush: asyncio.TimerHandle | None = None
         self._draining = False
         self._active_requests = 0
         #: Each open connection's handler task and its writer.
@@ -458,6 +484,7 @@ class ReproService:
                 self._stream.finish()
                 self._stream = None
         if self.store is not None:
+            self._flush_store()
             self.store.close()
             self.store = None
 
@@ -693,11 +720,29 @@ class ReproService:
             }).decode())
         if (self.store is not None and route.startswith("/v1/")
                 and not route.startswith("/v1/obs")):
-            self.store.record_run(
-                kind="request", label=route,
-                trace_id=self.tracer.trace_id, status=str(code),
-                wall_seconds=seconds,
-                extra={"method": method, "span_id": span_id, "shed": shed})
+            self._store_rows.append({
+                "kind": "request", "label": route,
+                "trace_id": self.tracer.trace_id, "status": str(code),
+                "started_at": time.time(), "wall_seconds": seconds,
+                "extra": {"method": method, "span_id": span_id,
+                          "shed": shed}})
+            if self._store_flush is None:
+                self._store_flush = asyncio.get_running_loop().call_later(
+                    _STORE_FLUSH_SECONDS, self._flush_store)
+
+    def _flush_store(self) -> None:
+        """Write the buffered request rows in one store transaction.
+
+        Runs from the flush timer, before each ``/v1/obs/*`` read and in
+        :meth:`stop`.  A failed write drops the rows (telemetry, never
+        results) and raises nothing: ``RunStore`` catches sqlite errors.
+        """
+        if self._store_flush is not None:
+            self._store_flush.cancel()
+            self._store_flush = None
+        rows, self._store_rows = self._store_rows, []
+        if rows and self.store is not None:
+            self.store.record_runs(rows)
 
     # -- handlers ------------------------------------------------------
     async def _handle_healthz(self, request: Request) -> _Response:
@@ -910,6 +955,7 @@ class ReproService:
 
     # -- observability endpoints ---------------------------------------
     async def _handle_obs_summary(self, request: Request) -> _Response:
+        self._flush_store()
         store = self.store
         slo = {
             route: {"requests": counts[1], "bad": counts[0],
@@ -925,12 +971,14 @@ class ReproService:
         })
 
     async def _handle_obs_runs(self, request: Request) -> _Response:
+        self._flush_store()
         store = self.store
         if store is None:
             return _error_response(503, "run-history store is disabled")
         return _json_response(200, {"runs": store.runs(limit=50)})
 
     async def _handle_obs_run(self, request: Request) -> _Response:
+        self._flush_store()
         store = self.store
         if store is None:
             return _error_response(503, "run-history store is disabled")

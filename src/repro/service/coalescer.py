@@ -91,12 +91,14 @@ class _XPool:
         self.hits = 0
         self.misses = 0
 
-    def x(self, profile: tuple[float, ...], params: ModelParams) -> float:
+    def x(self, profile: tuple[float, ...], params: ModelParams,
+          cluster: Profile) -> float:
+        """``X`` of ``cluster``, pooled under its ρ-values ``profile``."""
         key = (profile, params.tau, params.pi, params.delta)
         x = self._entries.get(key)
         if x is None:
             self.misses += 1
-            x = x_measure(profile, params)
+            x = x_measure(cluster, params)
             self._entries[key] = x
             if len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -115,14 +117,15 @@ class BatchSolver:
         self.collapsed = 0
 
     # -- per-kind evaluation ------------------------------------------
-    def _eval_x_family(self, kind: str, payload: dict[str, Any]) -> dict:
+    def _eval_x_family(self, kind: str, payload: dict[str, Any],
+                       cluster: Profile) -> dict:
         profile = payload["profile"]
         params = payload["params"]
-        x = self.xpool.x(profile, params)
+        x = self.xpool.x(profile, params, cluster)
         if kind == "x":
             return {"x": x, "n": len(profile)}
         if kind == "hecr":
-            return {"x": x, "hecr": hecr(Profile(profile), params, x=x),
+            return {"x": x, "hecr": hecr(cluster, params, x=x),
                     "n": len(profile)}
         # kind == "work"
         rate = work_rate(profile, params, x=x)
@@ -139,7 +142,7 @@ class BatchSolver:
                 "total_work": float(allocation.w.sum())}
 
     @staticmethod
-    def _coded_response(payload: dict[str, Any]) -> dict:
+    def _coded_response(payload: dict[str, Any], cluster: Profile) -> dict:
         """Solve an allocate request carrying a redundancy scheme.
 
         Returns the redundant plan plus the coded structure: useful
@@ -151,7 +154,7 @@ class BatchSolver:
         from repro.coded import scheme_from_spec
 
         scheme = scheme_from_spec(payload["scheme"])
-        plan = scheme.plan(Profile(payload["profile"]), payload["params"],
+        plan = scheme.plan(cluster, payload["params"],
                            payload["lifespan"],
                            margin=payload["scheme_margin"])
         return {"allocation": allocation_to_dict(plan.allocation),
@@ -159,20 +162,28 @@ class BatchSolver:
                 "coded": plan.as_dict()}
 
     def _solve_one(self, kind: str, payload: dict[str, Any]) -> dict:
+        # A payload from parse_eval_payload carries the Profile it built
+        # and orders it checked; any other payload is checked here, by
+        # the library.
+        cluster = payload.get("checked_profile")
+        checked = cluster is not None
+        if not checked:
+            cluster = Profile(payload["profile"])
         if kind != "allocate":
-            return self._eval_x_family(kind, payload)
+            return self._eval_x_family(kind, payload, cluster)
         if payload.get("scheme") is not None:
-            return self._coded_response(payload)
-        profile = Profile(payload["profile"])
+            return self._coded_response(payload, cluster)
         if payload["protocol"] == "lp":
             (allocation,) = lp_allocation_many(
-                profile, payload["params"], payload["lifespan"],
+                cluster, payload["params"], payload["lifespan"],
                 [(payload["startup_order"], payload["finishing_order"])],
-                enforce_separation=payload.get("enforce_separation", True))
+                enforce_separation=payload.get("enforce_separation", True),
+                orders_checked=checked)
         else:
             allocation = fifo_allocation(
-                profile, payload["params"], payload["lifespan"],
-                startup_order=payload.get("startup_order"))
+                cluster, payload["params"], payload["lifespan"],
+                startup_order=payload.get("startup_order"),
+                orders_checked=checked)
         return self._allocation_response(allocation)
 
     def solve(self, requests: Sequence[tuple[str, dict[str, Any]]]

@@ -168,7 +168,33 @@ class TestDurability:
         store = RunStore(tmp_path / "runs.sqlite3")
         store._conn.close()  # simulate a dead backend
         assert store.record_run(kind="run") is None
+        assert store.record_runs([{"kind": "run"}]) == 0
         assert store.add_spans("x", [{"name": "s", "ts": 0.0}]) == 0
+
+    def test_record_runs_writes_a_batch(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            written = store.record_runs([
+                {"kind": "request", "label": f"/v1/x#{i}", "status": "200",
+                 "started_at": 100.0 + i, "wall_seconds": 0.001,
+                 "extra": {"method": "POST"}} for i in range(5)])
+            assert store.record_runs([]) == 0
+            runs = store.runs()
+        assert written == 5
+        assert [r["label"] for r in runs] == [f"/v1/x#{i}"
+                                               for i in reversed(range(5))]
+        assert {r["extra"]["method"] for r in runs} == {"POST"}
+        assert len({r["run_id"] for r in runs}) == 5
+
+    def test_record_runs_is_all_or_nothing(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            store.record_run(kind="run", run_id="taken")
+            # The schema refuses a NULL kind: the second row fails, and
+            # the first must not be committed by a later write.
+            assert store.record_runs([{"kind": "run", "label": "first"},
+                                      {"kind": None}]) == 0
+            store.record_run(kind="run", label="later")
+            labels = sorted(r["label"] for r in store.runs())
+        assert labels == ["", "later"]
 
     def test_unjsonable_documents_stored_as_null(self, tmp_path):
         with RunStore(tmp_path / "runs.sqlite3") as store:

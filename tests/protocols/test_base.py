@@ -32,6 +32,66 @@ class TestValidateOrder:
         with pytest.raises(ProtocolError):
             validate_order(["a", "b"], 2)
 
+    def test_accepts_numpy_integers_as_plain_ints(self):
+        order = validate_order(np.array([1, 0, 2]), 3)
+        assert order == (1, 0, 2)
+        assert all(type(i) is int for i in order)
+
+
+#: Orders whose elements would truncate or coerce to a permutation of
+#: range(2), and so must be refused rather than read as one.
+_INEXACT_ORDERS = {
+    "floats": [1.7, 0.2],
+    "integral-floats": [1.0, 0.0],
+    "bools": [True, False],
+    "mixed-bool": [1, False],
+    "numpy-floats": np.array([1.0, 0.0]),
+    "numpy-bools": np.array([True, False]),
+}
+
+
+class TestInexactOrderElements:
+    """Order elements are checked exactly: a float or a bool is refused,
+    never truncated (``[1.7, 0.2]`` once became the order ``(1, 0)``)."""
+
+    @pytest.mark.parametrize("order", _INEXACT_ORDERS.values(),
+                             ids=_INEXACT_ORDERS.keys())
+    def test_validate_order(self, order):
+        with pytest.raises(ProtocolError, match="permutation"):
+            validate_order(order, 2)
+
+    @pytest.mark.parametrize("order", _INEXACT_ORDERS.values(),
+                             ids=_INEXACT_ORDERS.keys())
+    def test_fifo_allocation(self, order):
+        from repro.protocols.fifo import fifo_allocation, fifo_work_fractions
+
+        with pytest.raises(ProtocolError):
+            fifo_allocation(Profile([1.0, 0.5]), PAPER_TABLE1, 100.0,
+                            startup_order=order)
+        with pytest.raises(ProtocolError):
+            fifo_work_fractions(Profile([1.0, 0.5]), PAPER_TABLE1, order)
+
+    @pytest.mark.parametrize("order", _INEXACT_ORDERS.values(),
+                             ids=_INEXACT_ORDERS.keys())
+    @pytest.mark.parametrize("which", ["startup", "finishing"])
+    def test_lp_allocation(self, order, which):
+        from repro.protocols.general import GeneralProtocol, lp_allocation
+
+        orders = {"startup": (0, 1), "finishing": (0, 1), which: order}
+        with pytest.raises(ProtocolError):
+            lp_allocation(Profile([1.0, 0.5]), PAPER_TABLE1, 100.0,
+                          orders["startup"], orders["finishing"])
+        with pytest.raises(ProtocolError):
+            GeneralProtocol(orders["startup"], orders["finishing"]).allocate(
+                Profile([1.0, 0.5]), PAPER_TABLE1, 100.0)
+
+    @pytest.mark.parametrize("order", _INEXACT_ORDERS.values(),
+                             ids=_INEXACT_ORDERS.keys())
+    @pytest.mark.parametrize("which", ["sigma", "phi"])
+    def test_work_allocation(self, order, which):
+        with pytest.raises(ProtocolError):
+            _alloc(**{which: order})
+
 
 def _alloc(w=(3.0, 2.0), lifespan=10.0, sigma=(0, 1), phi=(0, 1)):
     return WorkAllocation(

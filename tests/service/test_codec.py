@@ -15,6 +15,7 @@ import math
 import struct
 
 import numpy as np
+import orjson
 import pytest
 
 import repro.service.coalescer as coalescer
@@ -93,6 +94,24 @@ class TestNonFiniteAnswers:
     def test_json_response_keeps_real_nulls(self):
         body = _json_response(200, {"state": None, "x": 1.5}).body
         assert body == b'{"state":null,"x":1.5}\n'
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_found_wherever_it_sits_next_to_a_null(self, value):
+        # A real null elsewhere in the body must not hide the bad float.
+        for payload in (
+                {"windows": [{"shadow": None, "x": [1.0, {"y": value}]}]},
+                {"shadow": None, "w": (1.0, value)},
+                {"shadow": None, "x": np.float32(value)},
+                {"shadow": None, "w": np.array([[1.0], [value]])}):
+            with pytest.raises(ValueError):
+                _json_response(200, payload)
+
+    def test_null_bodies_are_orjson_bytes(self):
+        payload = {"windows": [{"shadow": None, "x": 2.5, "n": 3,
+                                "w": np.array([1.0, 0.5]), "ok": True,
+                                "label": "null"}], "state": None}
+        assert _json_response(200, payload).body == orjson.dumps(
+            payload, option=orjson.OPT_SERIALIZE_NUMPY) + b"\n"
 
     def test_non_finite_solve_is_500_not_null(self, server, monkeypatch):
         monkeypatch.setattr(coalescer, "x_measure",
