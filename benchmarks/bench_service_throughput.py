@@ -1,7 +1,7 @@
 """Serving-layer throughput benchmark: response cache on vs off.
 
 Boots the service twice on a loopback ephemeral port — once with the
-default response cache and once with it off (``cache_entries=0``) — and
+default response cache and once with it off (``cache_bytes=0``) — and
 drives both with the same closed-loop multi-threaded herd of hot
 evaluation queries (``/v1/x``, ``/v1/hecr``, FIFO and LP
 ``/v1/allocate``).  Each evaluation is solved inline between the
@@ -150,7 +150,7 @@ def _load_phase(config: ServiceConfig) -> tuple[dict, dict]:
 def _shed_phase() -> dict:
     """Overload a tiny server; overload must shed, not time out."""
     config = ServiceConfig(port=0, max_inflight=2, rate=150.0, burst=8.0,
-                           cache_entries=0, no_result_cache=True)
+                           cache_bytes=0, no_result_cache=True)
     counts = {"attempts": 0, "ok": 0, "shed_429": 0, "shed_503": 0,
               "timeouts": 0}
     hints: list[float] = []
@@ -193,7 +193,7 @@ def test_service_throughput(report_sink):
     check_mode = os.environ.get("REPRO_PERF_CHECK", "") == "1"
 
     cache_off, cache_off_responses = _load_phase(ServiceConfig(
-        port=0, cache_entries=0, no_result_cache=True))
+        port=0, cache_bytes=0, no_result_cache=True))
     cache_on, cache_on_responses = _load_phase(ServiceConfig(
         port=0, no_result_cache=True))
     speedup = cache_on["throughput_rps"] / cache_off["throughput_rps"]

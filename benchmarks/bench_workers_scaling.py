@@ -117,7 +117,7 @@ class _Fleet:
 
 
 def _fleet_config(workers: int, **overrides) -> ServiceConfig:
-    defaults = dict(port=0, workers=workers, cache_entries=0,
+    defaults = dict(port=0, workers=workers, cache_bytes=0,
                     no_result_cache=True, no_store=True, drain_timeout=5.0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)

@@ -1,0 +1,113 @@
+"""Memory smoke test: what a served answer leaves behind does not grow with n.
+
+Boots ``python -m repro.cli serve --port 0 --no-store --no-cache`` with
+its default response cache, answers one small request, and reads the
+server's peak resident set (``VmHWM``).  Then it posts ``--rounds``
+distinct ``/v1/x`` and ``/v1/allocate`` (FIFO) bodies for a cluster of
+``--n`` computers each, reads ``VmHWM`` again, and fails when the peak
+grew by ``--max-growth-mb`` or more.
+
+At the defaults (60 rounds, n = 45,000: 0.86 MB request bodies, 2.2 MB
+FIFO answers) a server whose response cache or X pool keeps each
+request's floats grows by more than 100 MB; the byte-budgeted cache
+refuses the oversize answers and keys every request on fixed-size
+digests, so the peak stays near one request's working set.
+
+Usage::
+
+    python benchmarks/service_memory_smoke.py [--rounds 60] [--n 45000]
+                                              [--max-growth-mb 48]
+
+Exits 0 when the growth is under the bound, 1 when it is not.  Needs
+Linux (``/proc/<pid>/status``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import http.client
+import json
+import os
+import random
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_LISTEN = re.compile(rb"serving on http://([^:\s]+):(\d+)")
+
+
+def _vm_hwm_mb(pid: int) -> float:
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"^VmHWM:\s+(\d+) kB", status, re.M)[1]) / 1024.0
+
+
+def _boot(state: Path) -> tuple[subprocess.Popen, str, int, Path]:
+    env = dict(os.environ, REPRO_OBS_DIR=str(state / "obs"),
+               REPRO_CACHE_DIR=str(state / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    log = state / "server.log"
+    with open(log, "wb") as out:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--no-store", "--no-cache"],
+            env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=out)
+    deadline = time.monotonic() + 60.0
+    while time.monotonic() < deadline:
+        found = _LISTEN.search(log.read_bytes())
+        if found:
+            return proc, found[1].decode(), int(found[2]), log
+        if proc.poll() is not None:
+            break
+        time.sleep(0.05)
+    proc.kill()
+    raise SystemExit(f"server did not start: {log.read_text()[-2000:]}")
+
+
+def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> None:
+    conn.request("POST", path, body=json.dumps(body).encode(),
+                 headers={"Content-Type": "application/json"})
+    response = conn.getresponse()
+    answer = response.read()
+    if response.status != 200:
+        raise SystemExit(f"POST {path} answered {response.status}: "
+                         f"{answer[:200]!r}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rounds", type=int, default=60)
+    parser.add_argument("--n", type=int, default=45_000)
+    parser.add_argument("--max-growth-mb", type=float, default=48.0)
+    args = parser.parse_args(argv)
+
+    rng = random.Random(25)
+    with tempfile.TemporaryDirectory(prefix="repro-memsmoke-") as tmp:
+        proc, host, port, _ = _boot(Path(tmp))
+        try:
+            conn = http.client.HTTPConnection(host, port, timeout=120.0)
+            _post(conn, "/v1/x", {"profile": [1.0, 0.5]})
+            before = _vm_hwm_mb(proc.pid)
+            for _ in range(args.rounds):
+                profile = [rng.uniform(0.05, 1.0) for _ in range(args.n)]
+                _post(conn, "/v1/x", {"profile": profile})
+                _post(conn, "/v1/allocate",
+                      {"profile": profile, "lifespan": 3600.0})
+            after = _vm_hwm_mb(proc.pid)
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30.0)
+    growth = after - before
+    print(f"VmHWM {before:.1f} -> {after:.1f} MB (+{growth:.1f} MB) over "
+          f"{args.rounds} distinct n = {args.n} /v1/x and /v1/allocate "
+          f"requests; bound +{args.max_growth_mb:g} MB")
+    return 0 if growth < args.max_growth_mb else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

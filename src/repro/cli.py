@@ -150,9 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="default per-request deadline; 0 = none; a "
                             "request may override via X-Repro-Deadline-Ms "
                             "(default: 0)")
-    serve.add_argument("--cache-entries", type=int, default=1024, metavar="N",
-                       help="response-cache capacity; 0 disables the cache "
-                            "(default: 1024)")
+    serve.add_argument("--cache-bytes", type=int, default=4 << 20,
+                       metavar="N",
+                       help="response-cache byte budget per worker; a body "
+                            "over N/8 is not stored; 0 disables the cache "
+                            "(default: 4194304)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="worker processes for experiment dispatch "
                             "(default: 1)")
@@ -594,7 +596,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host, port=args.port, max_inflight=args.max_inflight,
         rate=args.rate, burst=args.burst, deadline=args.deadline,
-        cache_entries=args.cache_entries, jobs=args.jobs,
+        cache_bytes=args.cache_bytes, jobs=args.jobs,
         no_result_cache=args.no_cache,
         result_cache_dir=args.cache_dir,
         no_store=args.no_store, store_dir=args.store_dir,

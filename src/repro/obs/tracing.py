@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator
 
@@ -33,8 +33,9 @@ __all__ = ["Tracer", "TraceContext", "Observation", "SimulationObserver",
 
 
 def new_span_id() -> str:
-    """A fresh 16-hex-character span/trace identifier."""
-    return uuid.uuid4().hex[:16]
+    """A fresh span/trace identifier: 64 random bits as 16 lowercase hex
+    characters (a ``uuid4`` prefix would fix one of them at ``'4'``)."""
+    return os.urandom(8).hex()
 
 
 class TraceContext:

@@ -30,7 +30,8 @@ semantics (shedding, deadlines, caching) are documented in
 observability layer: ``svc_requests_total{route,code}``,
 ``svc_request_seconds{route}`` (with trace-id exemplars),
 ``svc_inflight``, ``svc_shed_total{reason}``,
-``svc_response_cache_hits_total{kind}``, ``svc_slo_burn_rate{route}``,
+``svc_response_cache_hits_total{kind}``, ``svc_response_cache_bytes``,
+``svc_response_cache_entries``, ``svc_slo_burn_rate{route}``,
 one ``svc:<route>`` span record per request (emitted pre-timed via
 ``Tracer.record_span`` because asyncio tasks interleave and must not
 share the tracer's thread-local span stack), a JSON access-log line
@@ -70,7 +71,7 @@ from repro.obs.store import RunStore, default_store_path
 from repro.obs.tracing import Observation, Tracer, new_span_id, observe
 from repro.protocols.base import validate_order
 from repro.service.admission import AdmissionController
-from repro.service.coalescer import MicroBatcher
+from repro.service.coalescer import MicroBatcher, digest
 from repro.service.config import ServiceConfig
 from repro.service.http import (HttpError, Request, read_request,
                                 render_response)
@@ -224,21 +225,22 @@ def _parse_margin(obj: Any) -> float:
 def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     """Validate one evaluation request body into its canonical payload.
 
-    The canonical payload is what the solver keys and solves on:
-    profile as a float tuple, params as :class:`ModelParams`, orders as
+    The canonical payload is what the solver keys and solves on: the
+    checked :class:`Profile`, params as :class:`ModelParams`, orders as
     int tuples.  Raising here (client error → 400) keeps garbage out of
-    the batch solver entirely.  Every field is checked once, here:
-    ``"checked_profile"`` holds the :class:`Profile` built while checking
-    the profile, and tells the solver to pass it and the orders on to
-    the library without checking them again.
+    the batch solver entirely.  Every field is checked once, here, and
+    hashed once: ``"digests"`` holds the SHA-256 of the ρ-values as
+    float64 bytes and of each order as int64 bytes (``None`` for an
+    absent one), which :func:`~repro.service.coalescer.request_key`
+    keys on; its presence also tells the solver to pass the profile and
+    orders on to the library without checking them again.
     """
     if not isinstance(body, dict):
         raise InvalidParameterError("request body must be a JSON object")
     profile = _parse_profile(body.get("profile"))
     payload: dict[str, Any] = {
-        "profile": tuple(profile.rho.tolist()),
+        "profile": profile,
         "params": _parse_params(body.get("params")),
-        "checked_profile": profile,
     }
     n = profile.n
     if kind == "work":
@@ -282,6 +284,12 @@ def parse_eval_payload(kind: str, body: dict[str, Any]) -> dict[str, Any]:
                 raise InvalidParameterError(
                     f"enforce_separation must be a boolean, got {sep!r}")
             payload["enforce_separation"] = sep
+    startup, finishing = (payload.get("startup_order"),
+                          payload.get("finishing_order"))
+    payload["digests"] = (
+        digest(profile.rho, np.float64),
+        None if startup is None else digest(startup, np.int64),
+        None if finishing is None else digest(finishing, np.int64))
     return payload
 
 
@@ -386,7 +394,7 @@ class ReproService:
         self.admission = AdmissionController(
             max_inflight=self.config.max_inflight,
             rate=self.config.rate, burst=self.config.burst)
-        self.cache = ResponseCache(self.config.cache_entries)
+        self.cache = ResponseCache(self.config.cache_bytes)
         self.batcher = MicroBatcher()
         self._server: asyncio.AbstractServer | None = None
         self._started_at = 0.0
@@ -755,7 +763,22 @@ class ReproService:
             payload["worker"] = self.config.worker_index
         return _json_response(200, payload)
 
+    def publish_cache_gauges(self) -> None:
+        """Set the response-cache size gauges.
+
+        Called when metrics are read (``/metrics``, a fleet worker's
+        registry flush), not per request.
+        """
+        self.registry.gauge(
+            "svc_response_cache_bytes",
+            "bytes charged to the response cache (bodies plus per-entry "
+            "overhead), at most --cache-bytes").set(self.cache.resident_bytes)
+        self.registry.gauge(
+            "svc_response_cache_entries",
+            "responses held by the response cache").set(len(self.cache))
+
     async def _handle_metrics(self, request: Request) -> _Response:
+        self.publish_cache_gauges()
         text = prometheus_text(self.registry, exemplars=True)
         return _Response(200, text.encode("utf-8"), content_type=_PROM)
 

@@ -16,6 +16,10 @@ cache is therefore the one dedup layer in front of the solver (see
   ``(profile, params)``, within a call and across calls: the solver
   keeps an LRU pool of :func:`~repro.core.measure.x_measure` floats,
   and a pool miss runs that kernel once;
+* requests are identified by :func:`request_key`, which holds SHA-256
+  digests of the profile and orders, not their values: the solver's
+  collapse table, its X pool and the response cache keep keys of one
+  size whatever the cluster's size n;
 * an LP allocation is solved by
   ``lp_allocation_many(..., [pair])[0]`` — the call
   :func:`~repro.protocols.general.lp_allocation` itself makes.
@@ -37,8 +41,11 @@ handlers' entry point.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from typing import Any, Sequence
+
+import numpy as np
 
 from repro.core.hecr import hecr
 from repro.core.measure import work_production, work_rate, x_measure
@@ -49,27 +56,58 @@ from repro.io import allocation_to_dict
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import lp_allocation_many
 
-__all__ = ["EVAL_KINDS", "BatchSolver", "MicroBatcher", "request_key",
-           "solve_batch"]
+__all__ = ["EVAL_KINDS", "BatchSolver", "MicroBatcher", "digest",
+           "request_key", "solve_batch"]
 
 EVAL_KINDS = ("x", "work", "hecr", "allocate")
 
 
+def digest(values: Any, dtype: type) -> str:
+    """The SHA-256 hex digest of ``values`` as a ``dtype`` array.
+
+    A fixed-size identity for a profile (``np.float64``: the ρ-values'
+    bytes, so equal doubles and only equal doubles match) or an order
+    (``np.int64``).
+    """
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=dtype)
+                          ).hexdigest()
+
+
+def _order_digest(order: Any) -> str | tuple | None:
+    """A hand-built order's identity: its digest when every element is
+    an int; otherwise the order itself, which no checked order equals
+    (the library refuses it when solving)."""
+    if order is None:
+        return None
+    order = tuple(order)
+    if set(map(type, order)) <= {int}:
+        return digest(order, np.int64)
+    return order
+
+
 def request_key(kind: str, payload: dict[str, Any]) -> tuple:
-    """A hashable identity for one validated evaluation request.
+    """A hashable, fixed-size identity for one validated request.
 
     Two requests with equal keys are *the same question* and may share
     one solve (request collapsing).  The key covers every field that
-    reaches the solver.
+    reaches the solver.  The profile and orders enter as the digests
+    :func:`~repro.service.app.parse_eval_payload` stored under
+    ``"digests"``; a payload built by hand gets the same digests from
+    its ``"profile"`` and orders.
     """
     params = payload["params"]
-    base = (kind, payload["profile"], params.tau, params.pi, params.delta)
+    digests = payload.get("digests")
+    if digests is None:
+        digests = (digest(payload["profile"], np.float64),
+                   _order_digest(payload.get("startup_order")),
+                   _order_digest(payload.get("finishing_order")))
+    profile, startup, finishing = digests
+    base = (kind, profile, params.tau, params.pi, params.delta)
     if kind == "work":
         return base + (payload.get("lifespan"),)
     if kind == "allocate":
         return base + (payload["lifespan"], payload["protocol"],
-                       payload.get("startup_order"),
-                       payload.get("finishing_order"),
+                       startup, finishing,
                        payload.get("enforce_separation", True),
                        payload.get("scheme"),
                        payload.get("scheme_margin"))
@@ -77,7 +115,7 @@ def request_key(kind: str, payload: dict[str, Any]) -> tuple:
 
 
 class _XPool:
-    """LRU pool of X-measure floats keyed by (profile, params).
+    """LRU pool of X-measure floats keyed by (profile digest, params).
 
     A miss runs ``x_measure`` and pools its float, so serving repeated
     profiles from the pool cannot move any response float — it only
@@ -91,9 +129,9 @@ class _XPool:
         self.hits = 0
         self.misses = 0
 
-    def x(self, profile: tuple[float, ...], params: ModelParams,
+    def x(self, profile: str, params: ModelParams,
           cluster: Profile) -> float:
-        """``X`` of ``cluster``, pooled under its ρ-values ``profile``."""
+        """``X`` of ``cluster``, pooled under its ρ-values' digest."""
         key = (profile, params.tau, params.pi, params.delta)
         x = self._entries.get(key)
         if x is None:
@@ -118,22 +156,21 @@ class BatchSolver:
 
     # -- per-kind evaluation ------------------------------------------
     def _eval_x_family(self, kind: str, payload: dict[str, Any],
-                       cluster: Profile) -> dict:
-        profile = payload["profile"]
+                       cluster: Profile, profile_digest: str) -> dict:
         params = payload["params"]
-        x = self.xpool.x(profile, params, cluster)
+        x = self.xpool.x(profile_digest, params, cluster)
         if kind == "x":
-            return {"x": x, "n": len(profile)}
+            return {"x": x, "n": cluster.n}
         if kind == "hecr":
             return {"x": x, "hecr": hecr(cluster, params, x=x),
-                    "n": len(profile)}
+                    "n": cluster.n}
         # kind == "work"
-        rate = work_rate(profile, params, x=x)
+        rate = work_rate(cluster, params, x=x)
         out = {"x": x, "work_rate": rate}
         lifespan = payload.get("lifespan")
         if lifespan is not None:
             out["lifespan"] = lifespan
-            out["work"] = work_production(profile, params, lifespan, x=x)
+            out["work"] = work_production(cluster, params, lifespan, x=x)
         return out
 
     @staticmethod
@@ -161,16 +198,18 @@ class BatchSolver:
                 "total_work": float(plan.allocation.w.sum()),
                 "coded": plan.as_dict()}
 
-    def _solve_one(self, kind: str, payload: dict[str, Any]) -> dict:
+    def _solve_one(self, key: tuple, payload: dict[str, Any]) -> dict:
         # A payload from parse_eval_payload carries the Profile it built
-        # and orders it checked; any other payload is checked here, by
-        # the library.
-        cluster = payload.get("checked_profile")
-        checked = cluster is not None
+        # and orders it checked (and their digests); any other payload
+        # is checked here, by the library.
+        kind, profile_digest = key[0], key[1]
+        checked = "digests" in payload
+        cluster = payload["profile"]
         if not checked:
-            cluster = Profile(payload["profile"])
+            cluster = Profile(cluster)
         if kind != "allocate":
-            return self._eval_x_family(kind, payload, cluster)
+            return self._eval_x_family(kind, payload, cluster,
+                                       profile_digest)
         if payload.get("scheme") is not None:
             return self._coded_response(payload, cluster)
         if payload["protocol"] == "lp":
@@ -194,19 +233,24 @@ class BatchSolver:
         request: one bad request cannot poison the answers of the
         others.
         """
-        unique: OrderedDict[tuple, dict] = OrderedDict()
-        keys: list[tuple] = []
+        unique: dict[Any, dict] = {}
+        outcomes: dict[Any, tuple[bool, Any]] = {}
+        keys: list[Any] = []
         for kind, payload in requests:
-            key = request_key(kind, payload)
+            try:
+                key = request_key(kind, payload)
+            except Exception as exc:
+                # A hand-built value numpy cannot read fails alone.
+                key = object()
+                outcomes[key] = (False, exc)
+            else:
+                unique.setdefault(key, payload)
             keys.append(key)
-            if key not in unique:
-                unique[key] = payload
-        self.collapsed += len(requests) - len(unique)
+        self.collapsed += len(keys) - len(unique) - len(outcomes)
 
-        outcomes: dict[tuple, tuple[bool, Any]] = {}
         for key, payload in unique.items():
             try:
-                outcomes[key] = (True, self._solve_one(key[0], payload))
+                outcomes[key] = (True, self._solve_one(key, payload))
             except Exception as exc:
                 outcomes[key] = (False, exc)
         return [outcomes[key] for key in keys]

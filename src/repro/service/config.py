@@ -2,7 +2,7 @@
 
 Defaults are chosen for a loopback development server; the CLI's
 ``serve`` subcommand exposes the operationally interesting knobs
-(``--max-inflight``, ``--rate``, ``--cache-entries``, …) and leaves the
+(``--max-inflight``, ``--rate``, ``--cache-bytes``, …) and leaves the
 rest at these values.  Validation happens at construction so a
 misconfigured server refuses to start instead of misbehaving under
 load.
@@ -39,13 +39,15 @@ class ServiceConfig:
         header; a request whose deadline has passed answers ``504``.
         An evaluation checks it just before its inline solve, which is
         never interrupted once started.
-    cache_entries:
-        Capacity of the LRU response cache for the deterministic
+    cache_bytes:
+        Byte budget of the LRU response cache for the deterministic
         evaluation endpoints, one per process (each ``serve --workers N``
-        worker keeps its own).  ``cache_entries=0`` disables it.
-        Evaluations are solved inline between the cache lookup and
-        store, so the cache is also the dedup layer: concurrent
-        identical requests cost one solve.
+        worker keeps its own, so the fleet holds ``N × cache_bytes``).
+        Each entry is charged its body plus a fixed per-entry overhead;
+        a body over ``cache_bytes // 8`` is answered but not stored.
+        ``cache_bytes=0`` disables it.  Evaluations are solved inline
+        between the cache lookup and store, so the cache is also the
+        dedup layer: concurrent identical requests cost one solve.
     jobs, no_result_cache, result_cache_dir:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk
@@ -100,7 +102,7 @@ class ServiceConfig:
     rate: float = 0.0
     burst: float = 64.0
     deadline: float = 0.0
-    cache_entries: int = 1024
+    cache_bytes: int = 4 << 20
     jobs: int = 1
     no_result_cache: bool = False
     result_cache_dir: str | None = None
@@ -128,7 +130,7 @@ class ServiceConfig:
                 raise InvalidParameterError(
                     f"{name} must be a number >= {minimum}, got {value!r}")
         for name, minimum in (("max_inflight", 1),
-                              ("jobs", 1), ("cache_entries", 0),
+                              ("jobs", 1), ("cache_bytes", 0),
                               ("max_body_bytes", 1), ("max_header_bytes", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) \

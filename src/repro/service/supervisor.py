@@ -56,7 +56,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import InvalidParameterError, ReproError
 from repro.obs.metrics import MetricsRegistry, set_default_registry
@@ -118,8 +118,10 @@ class _MetricsFlusher:
     """Periodically publish one worker's registry dump, atomically."""
 
     def __init__(self, registry: MetricsRegistry, path: str,
-                 interval: float) -> None:
+                 interval: float, before: Callable[[], None]) -> None:
         self._registry = registry
+        #: Runs before each dump, to set gauges read at export time.
+        self._before = before
         self._path = path
         self._interval = max(interval, 0.05)
         self._stop = threading.Event()
@@ -139,6 +141,7 @@ class _MetricsFlusher:
         self.flush()  # final flush so shutdown-time counts survive
 
     def flush(self) -> None:
+        self._before()
         try:
             atomic_write_text(self._path, json.dumps(self._registry.dump()))
         except OSError:
@@ -187,7 +190,8 @@ async def _worker_async(config: ServiceConfig, conn: Any,
     flusher = None
     if config.metrics_flush_path:
         flusher = _MetricsFlusher(registry, config.metrics_flush_path,
-                                  config.metrics_flush_interval)
+                                  config.metrics_flush_interval,
+                                  service.publish_cache_gauges)
         flusher.start()
 
     stop = asyncio.Event()

@@ -1,5 +1,7 @@
 """Unit tests for repro.obs.tracing: spans, events, ambient observation."""
 
+import re
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -8,9 +10,22 @@ from repro.obs.tracing import (
     SimulationObserver,
     Tracer,
     current_observation,
+    new_span_id,
     observe,
     traced,
 )
+
+
+class TestSpanIds:
+    def test_sixteen_lowercase_hex_characters(self):
+        for _ in range(100):
+            assert re.fullmatch(r"[0-9a-f]{16}", new_span_id())
+
+    def test_every_position_is_random(self):
+        # A uuid4 prefix fixes index 12 (the version nibble) at '4'.
+        ids = [new_span_id() for _ in range(200)]
+        assert len(set(ids)) == 200
+        assert len({span_id[12] for span_id in ids}) > 1
 
 
 class TestSpans:

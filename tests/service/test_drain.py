@@ -76,7 +76,7 @@ def _start_drain(server: ServiceThread, timeout: float) -> "asyncio.Future":
 
 @pytest.fixture
 def server():
-    config = ServiceConfig(port=0, no_store=True, cache_entries=0,
+    config = ServiceConfig(port=0, no_store=True, cache_bytes=0,
                            drain_timeout=2.0)
     with ServiceThread(config) as running:
         yield running
@@ -87,7 +87,7 @@ class TestDrain:
         # An in-flight slow request holds the drain open; a request
         # arriving on another keep-alive connection in that window must
         # get a clean 503, not a connection reset.
-        config = ServiceConfig(port=0, no_store=True, cache_entries=0,
+        config = ServiceConfig(port=0, no_store=True, cache_bytes=0,
                                drain_timeout=5.0)
         with ServiceThread(config) as server:
             _slow_evaluations(server, 0.5)
@@ -131,7 +131,7 @@ class TestDrain:
     def test_inflight_request_finishes_within_drain_timeout(self):
         # An observably slow eval request: a drain starting mid-request
         # must still answer it with 200.
-        config = ServiceConfig(port=0, no_store=True, cache_entries=0,
+        config = ServiceConfig(port=0, no_store=True, cache_bytes=0,
                                drain_timeout=5.0)
         with ServiceThread(config) as server:
             _slow_evaluations(server, 0.4)
@@ -175,7 +175,7 @@ class TestDrain:
         again.result(timeout=10.0)  # second drain is a no-op, not an error
 
     def test_shed_counter_labels_draining(self):
-        config = ServiceConfig(port=0, no_store=True, cache_entries=0,
+        config = ServiceConfig(port=0, no_store=True, cache_bytes=0,
                                drain_timeout=5.0)
         with ServiceThread(config) as server:
             _slow_evaluations(server, 0.5)

@@ -221,7 +221,7 @@ class TestOperationalEndpoints:
 class TestBatchingOverHttp:
     def test_concurrent_identical_requests_share_one_solve(self, tmp_path):
         config = ServiceConfig(port=0,
-                               cache_entries=0,  # every request solves
+                               cache_bytes=0,  # every request solves
                                no_result_cache=True)
         with ServiceThread(config, registry=MetricsRegistry()) as server:
             results, errors = [], []
@@ -291,7 +291,7 @@ class TestBatchingOverHttp:
 
     def test_lone_request_does_not_wait_for_company(self, tmp_path):
         registry = MetricsRegistry()
-        config = ServiceConfig(port=0, cache_entries=0,
+        config = ServiceConfig(port=0, cache_bytes=0,
                                no_result_cache=True, no_store=True)
         with ServiceThread(config, registry=registry) as server:
             with server.client() as client:
@@ -344,7 +344,7 @@ class TestAdmissionOverHttp:
 
 class TestDeadlines:
     def test_deadline_header_cancels_with_504(self, tmp_path):
-        config = ServiceConfig(port=0, cache_entries=0, no_result_cache=True)
+        config = ServiceConfig(port=0, cache_bytes=0, no_result_cache=True)
         with ServiceThread(config, registry=MetricsRegistry()) as server:
             big = list(np.random.default_rng(0).uniform(0.1, 1.0, 600))
             with server.client() as client:

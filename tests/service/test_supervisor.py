@@ -61,7 +61,7 @@ class _RunningSupervisor:
 
 def _config(**overrides) -> ServiceConfig:
     defaults = dict(port=0, workers=2, no_store=True, drain_timeout=2.0,
-                    cache_entries=0)
+                    cache_bytes=0)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
 
@@ -217,7 +217,7 @@ class TestResponseCache:
     """Each worker's response cache is in memory; none touches disk."""
 
     def test_fresh_responses_leave_only_metrics_dumps(self):
-        config = _config(workers=2, cache_entries=1024,
+        config = _config(workers=2, cache_bytes=4 << 20,
                          metrics_flush_interval=0.05)
         with _RunningSupervisor(config) as running:
             run_dir = Path(running.supervisor._run_dir)
@@ -244,7 +244,7 @@ class TestResponseCache:
         assert left and all(dump.fullmatch(name) for name in left), left
 
     def test_repeats_are_byte_identical_across_workers(self):
-        config = _config(workers=2, cache_entries=1024)
+        config = _config(workers=2, cache_bytes=4 << 20)
         payload = {"profile": [1.0, 0.5, 0.25]}
         with _RunningSupervisor(config) as running:
             bodies = {_post_raw(running.port, "/v1/x", payload)
@@ -275,6 +275,28 @@ class TestAggregation:
             fleet = json.loads(urllib.request.urlopen(url).read())
             assert len(fleet["workers"]) == 2
             assert all(w["alive"] for w in fleet["workers"])
+
+    def test_aggregate_reports_each_workers_response_cache(self):
+        # Workers set the cache gauges before each registry flush, so
+        # the aggregate sees them without a /metrics read per worker.
+        config = _config(workers=2, metrics_port=0, cache_bytes=4 << 20,
+                         metrics_flush_interval=0.1)
+        series = re.compile(
+            r'^svc_response_cache_entries\{worker="\d+"\} (\S+)$', re.M)
+        with _RunningSupervisor(config) as running:
+            with ServiceClient("127.0.0.1", running.port) as client:
+                for i in range(4):
+                    client.x([1.0, 1.0 + (i + 1) / 8.0])
+            url = (f"http://127.0.0.1:"
+                   f"{running.supervisor.metrics_port}/metrics")
+            deadline = time.monotonic() + 10.0
+            held = 0.0
+            while time.monotonic() < deadline and held < 4:
+                text = urllib.request.urlopen(url).read().decode()
+                held = sum(map(float, series.findall(text)))
+                time.sleep(0.1)
+        assert held == 4
+        assert "svc_response_cache_bytes{" in text
 
 
 class TestSingleFlightEndToEnd:
