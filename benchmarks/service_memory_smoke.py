@@ -1,8 +1,9 @@
-"""Memory smoke test: what a served answer leaves behind does not grow with n.
+"""Memory smoke test: what a served answer leaves behind does not grow with n,
+and answers nobody asks for again are not kept.
 
 Boots ``python -m repro.cli serve --port 0 --no-store --no-cache`` with
-its default response cache, answers one small request, and reads the
-server's peak resident set (``VmHWM``).  Then it posts ``--rounds``
+the default 4 MiB response cache, answers one small request, and reads
+the server's peak resident set (``VmHWM``).  Then it posts ``--rounds``
 distinct ``/v1/x`` and ``/v1/allocate`` (FIFO) bodies for a cluster of
 ``--n`` computers each, reads ``VmHWM`` again, and fails when the peak
 grew by ``--max-growth-mb`` or more.
@@ -13,13 +14,21 @@ request's floats grows by more than 100 MB; the byte-budgeted cache
 refuses the oversize answers and keys every request on fixed-size
 digests, so the peak stays near one request's working set.
 
+A second phase floods the server with 300 distinct n = 64 FIFO
+``/v1/allocate`` bodies (each answer a few KB, small enough to be
+stored) and fails unless ``svc_response_cache_bytes`` on ``/metrics``
+is then at most ``cache_bytes // 8 + 256``: answers seen once wait in
+the cache's one-body probation segment, so a stream without repeats
+cannot fill the budget (a cache that stores every first answer ends
+near 1 MB).
+
 Usage::
 
     python benchmarks/service_memory_smoke.py [--rounds 60] [--n 45000]
                                               [--max-growth-mb 48]
 
-Exits 0 when the growth is under the bound, 1 when it is not.  Needs
-Linux (``/proc/<pid>/status``).
+Exits 0 when both checks pass, 1 when either fails.  Needs Linux
+(``/proc/<pid>/status``).
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 _LISTEN = re.compile(rb"serving on http://([^:\s]+):(\d+)")
+_CACHE_BYTES = 4 << 20
+_FLOOD_BODIES, _FLOOD_N = 300, 64
 
 
 def _vm_hwm_mb(pid: int) -> float:
@@ -54,7 +65,7 @@ def _boot(state: Path) -> tuple[subprocess.Popen, str, int, Path]:
     with open(log, "wb") as out:
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-             "--no-store", "--no-cache"],
+             "--no-store", "--no-cache", "--cache-bytes", str(_CACHE_BYTES)],
             env=env, stdin=subprocess.DEVNULL, stdout=out, stderr=out)
     deadline = time.monotonic() + 60.0
     while time.monotonic() < deadline:
@@ -78,6 +89,14 @@ def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> None:
                          f"{answer[:200]!r}")
 
 
+def _cache_bytes(conn: http.client.HTTPConnection) -> int:
+    """``svc_response_cache_bytes`` as the server's ``/metrics`` reports it."""
+    conn.request("GET", "/metrics")
+    text = conn.getresponse().read().decode()
+    return int(float(re.search(r"^svc_response_cache_bytes (\S+)$", text,
+                               re.M)[1]))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rounds", type=int, default=60)
@@ -98,6 +117,11 @@ def main(argv: list[str] | None = None) -> int:
                 _post(conn, "/v1/allocate",
                       {"profile": profile, "lifespan": 3600.0})
             after = _vm_hwm_mb(proc.pid)
+            for _ in range(_FLOOD_BODIES):
+                profile = [rng.uniform(0.05, 1.0) for _ in range(_FLOOD_N)]
+                _post(conn, "/v1/allocate",
+                      {"profile": profile, "lifespan": 3600.0})
+            flooded = _cache_bytes(conn)
             conn.close()
         finally:
             proc.terminate()
@@ -106,7 +130,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"VmHWM {before:.1f} -> {after:.1f} MB (+{growth:.1f} MB) over "
           f"{args.rounds} distinct n = {args.n} /v1/x and /v1/allocate "
           f"requests; bound +{args.max_growth_mb:g} MB")
-    return 0 if growth < args.max_growth_mb else 1
+    flood_bound = _CACHE_BYTES // 8 + 256
+    print(f"response cache holds {flooded} bytes after {_FLOOD_BODIES} "
+          f"distinct n = {_FLOOD_N} /v1/allocate requests; bound "
+          f"{flood_bound} bytes")
+    return 0 if growth < args.max_growth_mb and flooded <= flood_bound else 1
 
 
 if __name__ == "__main__":

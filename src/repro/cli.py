@@ -152,9 +152,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: 0)")
     serve.add_argument("--cache-bytes", type=int, default=4 << 20,
                        metavar="N",
-                       help="response-cache byte budget per worker; a body "
-                            "over N/8 is not stored; 0 disables the cache "
-                            "(default: 4194304)")
+                       help="response-cache byte budget per worker; an "
+                            "answer is kept on its first request only in a "
+                            "probation segment of N/8 and promoted on its "
+                            "second; a body over N/8 is not stored; 0 "
+                            "disables the cache (default: 4194304)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="worker processes for experiment dispatch "
                             "(default: 1)")

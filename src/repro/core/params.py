@@ -87,6 +87,14 @@ class ModelParams:
             raise InvalidParameterError(
                 f"delta must lie in [0, 1] (each work unit produces at most "
                 f"one unit of results), got {self.delta!r}")
+        # Finite τ and π can still overflow the derived constants (π =
+        # 1e308 makes B infinite), and every formula would then yield NaN.
+        for name in ("A", "B", "tau_delta", "speedup_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameterError(
+                    f"derived constant {name} is not finite ({value!r}) for "
+                    f"tau={self.tau!r}, pi={self.pi!r}, delta={self.delta!r}")
 
     # ------------------------------------------------------------------
     # Derived constants

@@ -771,11 +771,13 @@ class ReproService:
         """
         self.registry.gauge(
             "svc_response_cache_bytes",
-            "bytes charged to the response cache (bodies plus per-entry "
-            "overhead), at most --cache-bytes").set(self.cache.resident_bytes)
+            "bytes charged to the response cache's two segments (bodies "
+            "plus per-entry overhead), at most --cache-bytes"
+        ).set(self.cache.resident_bytes)
         self.registry.gauge(
             "svc_response_cache_entries",
-            "responses held by the response cache").set(len(self.cache))
+            "responses held by the response cache's two segments"
+        ).set(len(self.cache))
 
     async def _handle_metrics(self, request: Request) -> _Response:
         self.publish_cache_gauges()

@@ -4,10 +4,11 @@ Each validated evaluation request (``/v1/x``, ``/v1/work``,
 ``/v1/hecr``, ``/v1/allocate``) is solved **inline** by the handler
 that read it, on the event-loop thread, between its response-cache
 ``get`` and ``put``.  Nothing in that stretch suspends, so no other
-request runs between the miss and the store: a concurrent duplicate of
-a request being solved is always a response-cache hit.  The response
-cache is therefore the one dedup layer in front of the solver (see
-``docs/SERVICE.md``).
+request runs between the miss and the store, and the store makes the
+answer readable at once (in the cache's probation segment; a second
+request promotes it): a concurrent duplicate of a request being solved
+is always a response-cache hit.  The response cache is therefore the
+one dedup layer in front of the solver (see ``docs/SERVICE.md``).
 
 :class:`BatchSolver` solves a list of requests.  Within one call:
 

@@ -44,10 +44,14 @@ class ServiceConfig:
         evaluation endpoints, one per process (each ``serve --workers N``
         worker keeps its own, so the fleet holds ``N × cache_bytes``).
         Each entry is charged its body plus a fixed per-entry overhead;
-        a body over ``cache_bytes // 8`` is answered but not stored.
-        ``cache_bytes=0`` disables it.  Evaluations are solved inline
-        between the cache lookup and store, so the cache is also the
-        dedup layer: concurrent identical requests cost one solve.
+        a body over ``cache_bytes // 8`` is answered but not stored.  A
+        first answer waits in a probation segment of one such body and
+        moves to the rest of the budget when it is asked for again, so
+        answers nobody repeats hold at most ``cache_bytes // 8`` plus
+        one overhead.  ``cache_bytes=0`` disables it.  Evaluations are
+        solved inline between the cache lookup and store, so the cache
+        is also the dedup layer: concurrent identical requests cost one
+        solve.
     jobs, no_result_cache, result_cache_dir:
         Experiment dispatch: worker processes for
         :func:`repro.batch.run_batch` and its on-disk

@@ -66,6 +66,26 @@ class TestConstruction:
             PAPER_TABLE1.tau = 2.0  # type: ignore[misc]
 
 
+class TestDerivedConstantsFinite:
+    """Finite τ, π, δ whose derived constants overflow are refused, so no
+    formula is handed an infinite ``A``/``B`` and answers NaN."""
+
+    @pytest.mark.parametrize("tau, pi, delta, name", [
+        (0.1, 1e308, 1.0, "B"),              # B = 1 + 2π overflows
+        (1e308, 1e308, 1.0, "A"),            # A = π + τ overflows
+        (1e300, 0.0, 1.0, "speedup_threshold"),   # A·τδ overflows
+        (1e200, 1e200, 1.0, "speedup_threshold"),  # inf / inf
+    ])
+    def test_overflowing_parameters_rejected(self, tau, pi, delta, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            ModelParams(tau=tau, pi=pi, delta=delta)
+
+    def test_large_finite_parameters_still_build(self):
+        p = ModelParams(tau=1e100, pi=1e100, delta=0.5)
+        for value in (p.A, p.B, p.tau_delta, p.speedup_threshold):
+            assert math.isfinite(value)
+
+
 class TestStandingAssumption:
     def test_paper_params_satisfy(self):
         assert PAPER_TABLE1.satisfies_standing_assumption

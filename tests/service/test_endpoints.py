@@ -84,6 +84,25 @@ class TestEvaluationEndpoints:
                     client.request("POST", path, payload)
                 assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/x", {}),
+        ("/v1/allocate", {"lifespan": 50.0}),
+        ("/v1/allocate", {"lifespan": 50.0, "protocol": "lp"}),
+    ])
+    def test_params_overflowing_derived_constants_are_400(self, server,
+                                                          path, body):
+        # Finite τ and π whose B = 1 + 2π overflows: refused as invalid
+        # input, not answered with NaN or a 500.
+        with server.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request("POST", path, {
+                    "profile": PROFILE, "params": {"tau": 0.1, "pi": 1e308},
+                    **body})
+        assert excinfo.value.status == 400
+        error = excinfo.value.payload["error"]
+        assert error.startswith("InvalidParameterError: ")
+        assert "B is not finite" in error
+
     @pytest.mark.parametrize("protocol", ["lp", "fifo"])
     @pytest.mark.parametrize("field", ["startup_order", "finishing_order"])
     @pytest.mark.parametrize("order", [[0, 1, "x"], [0, 1, None],
