@@ -26,34 +26,7 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 scripts that regenerate every table and figure of the paper.
 """
 
-from repro.core import (
-    FIG34_CALIBRATION,
-    NEGLIGIBLE_OVERHEADS,
-    PAPER_TABLE1,
-    ClusterComparison,
-    ModelParams,
-    Profile,
-    compare_clusters,
-    hecr,
-    hecr_bisect,
-    hecr_from_x,
-    homogeneous_work_rate,
-    homogeneous_x,
-    work_production,
-    work_rate,
-    work_ratio,
-    x_measure,
-)
-from repro.errors import (
-    ExperimentError,
-    InfeasibleScheduleError,
-    InvalidParameterError,
-    InvalidProfileError,
-    ProtocolError,
-    ReproError,
-    SamplingError,
-    SimulationError,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -86,3 +59,18 @@ __all__ = [
     "SamplingError",
     "ExperimentError",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.compare": ("ClusterComparison", "compare_clusters"),
+    "repro.core.hecr": ("hecr", "hecr_bisect", "hecr_from_x"),
+    "repro.core.homogeneous": ("homogeneous_work_rate", "homogeneous_x"),
+    "repro.core.measure": ("work_production", "work_rate", "work_ratio",
+                           "x_measure"),
+    "repro.core.params": ("FIG34_CALIBRATION", "NEGLIGIBLE_OVERHEADS",
+                          "PAPER_TABLE1", "ModelParams"),
+    "repro.core.profile": ("Profile",),
+    "repro.errors": ("ExperimentError", "InfeasibleScheduleError",
+                     "InvalidParameterError", "InvalidProfileError",
+                     "ProtocolError", "ReproError", "SamplingError",
+                     "SimulationError"),
+})

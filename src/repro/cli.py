@@ -45,7 +45,6 @@ from repro.core.measure import work_rate, x_measure
 from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
 from repro.errors import CLIENT_ERRORS, FAULT_ERRORS, error_class
-from repro.experiments import list_experiments
 
 __all__ = ["main", "build_parser"]
 
@@ -444,6 +443,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from contextlib import nullcontext
 
     from repro.batch import ResultCache, default_cache_dir, run_batch
+    from repro.experiments.base import list_experiments
     from repro.io import results_to_json
     from repro.obs import (JsonlTraceWriter, Observation, Tracer,
                            default_registry, observe, write_metrics)
@@ -1085,10 +1085,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 def _dispatch(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     if args.command == "list":
+        from repro.experiments.base import experiment_index, list_experiments
         if args.json:
             import json
 
-            from repro.experiments.base import experiment_index
             print(json.dumps(experiment_index(), indent=2))
         else:
             for experiment_id in list_experiments():
@@ -1109,6 +1109,7 @@ def _dispatch(parser: argparse.ArgumentParser,
 
     if args.command == "report":
         from repro.batch import ResultCache, default_cache_dir, run_batch
+        from repro.experiments.base import list_experiments
         experiment_ids = list_experiments()
         kwargs_by_id = {}
         for experiment_id in experiment_ids:

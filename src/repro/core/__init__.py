@@ -18,43 +18,11 @@ This subpackage implements the paper's primary mathematical objects:
 * :mod:`repro.core.exact` — exact-rational ground-truth evaluation.
 """
 
-from repro.core.batch_kernels import (
-    ProfileBatch,
-    hecr_from_x_many,
-    majorization_predictions,
-    minorization_predictions,
-    moment_predictions,
-    variance_predictions,
-)
-from repro.core.compare import ClusterComparison, compare_clusters
-from repro.core.exact import (
-    homogeneous_x_exact,
-    work_rate_exact,
-    work_ratio_exact,
-    x_measure_exact,
-)
-from repro.core.hecr import hecr, hecr_bisect, hecr_from_x
-from repro.core.homogeneous import (
-    homogeneous_size_for_x,
-    homogeneous_work_rate,
-    homogeneous_x,
-)
-from repro.core.measure import (
-    XDecomposition,
-    XEvaluator,
-    work_production,
-    work_rate,
-    work_ratio,
-    x_decomposition,
-    x_measure,
-)
-from repro.core.params import (
-    FIG34_CALIBRATION,
-    NEGLIGIBLE_OVERHEADS,
-    PAPER_TABLE1,
-    ModelParams,
-)
-from repro.core.profile import Profile
+from repro._lazy import lazy_exports
+
+# ``hecr`` is also a submodule's name: importing ``repro.core.hecr`` binds
+# the module here, so the function is imported eagerly to stay bound.
+from repro.core.hecr import hecr
 
 __all__ = [
     "ModelParams",
@@ -88,3 +56,22 @@ __all__ = [
     "work_ratio_exact",
     "homogeneous_x_exact",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.batch_kernels": (
+        "ProfileBatch", "hecr_from_x_many", "majorization_predictions",
+        "minorization_predictions", "moment_predictions",
+        "variance_predictions"),
+    "repro.core.compare": ("ClusterComparison", "compare_clusters"),
+    "repro.core.exact": ("homogeneous_x_exact", "work_rate_exact",
+                         "work_ratio_exact", "x_measure_exact"),
+    "repro.core.hecr": ("hecr_bisect", "hecr_from_x"),
+    "repro.core.homogeneous": ("homogeneous_size_for_x",
+                               "homogeneous_work_rate", "homogeneous_x"),
+    "repro.core.measure": ("XDecomposition", "XEvaluator", "work_production",
+                           "work_rate", "work_ratio", "x_decomposition",
+                           "x_measure"),
+    "repro.core.params": ("FIG34_CALIBRATION", "NEGLIGIBLE_OVERHEADS",
+                          "PAPER_TABLE1", "ModelParams"),
+    "repro.core.profile": ("Profile",),
+})

@@ -128,6 +128,19 @@ class _Columns:
         return self._cum
 
 
+def _x_overflow(rho: np.ndarray, params: ModelParams) -> InvalidProfileError:
+    """The refusal of a profile whose eq. (1) is not a positive double.
+
+    ``0 < X ≤ n/A`` in exact arithmetic; in doubles a ``Bρ + A`` beyond
+    the largest one makes a factor ``inf/inf`` (X is NaN) or every term
+    ``1/inf`` (X is 0).
+    """
+    return InvalidProfileError(
+        f"X(P) is not a positive finite double: B·ρ + A overflows "
+        f"(A = {params.A!r}, B = {params.B!r}, "
+        f"max ρ = {float(np.max(rho))!r})")
+
+
 def _build_columns(rho: np.ndarray, A, B, td) -> _Columns:
     """Eq. (1) over the last axis of ``rho`` — the one implementation.
 
@@ -241,6 +254,8 @@ class ProfileBatch:
         if cols is None:
             cols = _build_columns(self._rho, params.A, params.B,
                                   params.tau_delta)
+            if not ((cols.x > 0.0) & (cols.x < np.inf)).all():
+                raise _x_overflow(self._rho, params)
             self._columns[key] = cols
             while len(self._columns) > _COLUMN_CACHE_ENTRIES:
                 self._columns.pop(next(iter(self._columns)))
@@ -262,7 +277,12 @@ class ProfileBatch:
         if lifespan <= 0 or not np.isfinite(lifespan):
             raise InvalidParameterError(
                 f"lifespan must be positive and finite, got {lifespan!r}")
-        return lifespan * self.work_rates(params, x=x)
+        with np.errstate(over="ignore"):  # refused just below
+            work = lifespan * self.work_rates(params, x=x)
+        if np.isinf(work).any():
+            raise InvalidParameterError(
+                f"work production overflows a double at lifespan {lifespan!r}")
+        return work
 
     def hecr(self, params: ModelParams, *,
              x: np.ndarray | None = None) -> np.ndarray:

@@ -32,12 +32,13 @@ with ``Y(P) = Π_{k≤n-2} (Bρ_{s_k} + τδ)/(Bρ_{s_k} + A)`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
 
-from repro.core.batch_kernels import _build_columns
+from repro.core.batch_kernels import _build_columns, _x_overflow
 from repro.core.params import ModelParams
 from repro.core.profile import Profile
 from repro.errors import InvalidParameterError
@@ -79,6 +80,12 @@ def x_measure(profile: ProfileLike, params: ModelParams) -> float:
     float
         ``X(P) > 0``.  Larger X means a more powerful cluster.
 
+    Raises
+    ------
+    InvalidProfileError
+        If ``X(P)`` is not a positive finite double: some ``Bρᵢ + A``
+        overflows one.
+
     Notes
     -----
     Computed in one vectorised pass: with ``dᵢ = Bρᵢ + A`` and
@@ -96,8 +103,11 @@ def x_measure(profile: ProfileLike, params: ModelParams) -> float:
     >>> round(x_measure([1.0], PAPER_TABLE1), 4)      # one ρ=1 computer
     1.0
     """
-    return float(_build_columns(_rho_array(profile), params.A, params.B,
-                                params.tau_delta).x)
+    rho = _rho_array(profile)
+    x = float(_build_columns(rho, params.A, params.B, params.tau_delta).x)
+    if not 0.0 < x < math.inf:
+        raise _x_overflow(rho, params)
+    return x
 
 
 def work_rate(profile: ProfileLike, params: ModelParams, *,
@@ -132,10 +142,20 @@ def work_production(profile: ProfileLike, params: ModelParams, lifespan: float,
     -------
     float
         ``W(L; P) = L / (τδ + 1/X(P))`` in work units.
+
+    Raises
+    ------
+    InvalidParameterError
+        If ``lifespan`` is not positive and finite, or ``W`` overflows a
+        double.
     """
     if lifespan <= 0 or not np.isfinite(lifespan):
         raise InvalidParameterError(f"lifespan must be positive and finite, got {lifespan!r}")
-    return lifespan * work_rate(profile, params, x=x)
+    work = lifespan * work_rate(profile, params, x=x)
+    if math.isinf(work):
+        raise InvalidParameterError(
+            f"work production overflows a double at lifespan {lifespan!r}")
+    return work
 
 
 def work_ratio(new_profile: ProfileLike, old_profile: ProfileLike,

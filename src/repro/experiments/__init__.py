@@ -31,19 +31,7 @@ id                        reproduces
 ========================  =====================================================
 """
 
-import importlib
-
-from repro.experiments.base import (
-    ExperimentResult,
-    ShardSpec,
-    get_experiment,
-    get_shard_spec,
-    list_experiments,
-    register,
-    run_experiment,
-    run_sharded,
-)
-from repro.experiments.tables import render_table
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ExperimentResult",
@@ -86,8 +74,10 @@ __all__ = [
     "PAPER_THETA",
 ]
 
-#: Re-exports resolved on first access (PEP 562), module by module.
-_LAZY_EXPORTS = {
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.base": (
+        "ExperimentResult", "ShardSpec", "get_experiment", "get_shard_spec",
+        "list_experiments", "register", "run_experiment", "run_sharded"),
     "repro.experiments.barchart": ("render_profile_bars", "render_snapshot_strip"),
     "repro.experiments.coded_resilience": ("run_coded_resilience",),
     "repro.experiments.failure_rate_sweep": ("run_failure_rate_sweep",),
@@ -109,15 +99,5 @@ _LAZY_EXPORTS = {
     "repro.experiments.variance_trials": (
         "TrialBatch", "collect_trials", "merge_trial_batches",
         "run_trial_shard", "run_variance_trials", "trial_shards"),
-}
-_EXPORT_MODULE = {name: module for module, names in _LAZY_EXPORTS.items()
-                  for name in names}
-
-
-def __getattr__(name: str):
-    module = _EXPORT_MODULE.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
+    "repro.experiments.tables": ("render_table",),
+})

@@ -17,35 +17,7 @@ Everything here is dependency-free and pay-for-what-you-use: with no
 single ``is not None`` check.
 """
 
-from repro.obs.export import (
-    JsonlTraceWriter,
-    perfetto_trace,
-    prometheus_text,
-    read_jsonl,
-    run_summary,
-    write_metrics,
-    write_perfetto,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timer,
-    default_registry,
-    set_default_registry,
-)
-from repro.obs.store import RunStore, default_store_path
-from repro.obs.tracing import (
-    Observation,
-    SimulationObserver,
-    TraceContext,
-    Tracer,
-    current_observation,
-    new_span_id,
-    observe,
-    traced,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     # metrics
@@ -60,3 +32,16 @@ __all__ = [
     # store
     "RunStore", "default_store_path",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": ("JsonlTraceWriter", "perfetto_trace",
+                         "prometheus_text", "read_jsonl", "run_summary",
+                         "write_metrics", "write_perfetto"),
+    "repro.obs.metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                          "Timer", "default_registry",
+                          "set_default_registry"),
+    "repro.obs.store": ("RunStore", "default_store_path"),
+    "repro.obs.tracing": ("Observation", "SimulationObserver", "TraceContext",
+                          "Tracer", "current_observation", "new_span_id",
+                          "observe", "traced"),
+})

@@ -11,27 +11,7 @@
 * :mod:`~repro.protocols.feasibility` — invariant checking.
 """
 
-from repro.protocols.base import Protocol, WorkAllocation, validate_order
-from repro.protocols.conformance import check_protocol_conformance
-from repro.protocols.feasibility import (
-    FeasibilityReport,
-    Violation,
-    check_allocation,
-    check_timeline,
-)
-from repro.protocols.fifo import (
-    FifoProtocol,
-    fifo_allocation,
-    fifo_saturation_index,
-    fifo_work_fractions,
-)
-from repro.protocols.general import (
-    GeneralProtocol,
-    lp_allocation,
-    lp_allocation_many,
-)
-from repro.protocols.lifo import LifoProtocol, lifo_allocation
-from repro.protocols.timeline import Interval, Timeline, build_timeline
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Protocol",
@@ -55,3 +35,16 @@ __all__ = [
     "check_timeline",
     "check_protocol_conformance",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.protocols.base": ("Protocol", "WorkAllocation", "validate_order"),
+    "repro.protocols.conformance": ("check_protocol_conformance",),
+    "repro.protocols.feasibility": ("FeasibilityReport", "Violation",
+                                    "check_allocation", "check_timeline"),
+    "repro.protocols.fifo": ("FifoProtocol", "fifo_allocation",
+                             "fifo_saturation_index", "fifo_work_fractions"),
+    "repro.protocols.general": ("GeneralProtocol", "lp_allocation",
+                                "lp_allocation_many"),
+    "repro.protocols.lifo": ("LifoProtocol", "lifo_allocation"),
+    "repro.protocols.timeline": ("Interval", "Timeline", "build_timeline"),
+})

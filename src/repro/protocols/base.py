@@ -17,6 +17,7 @@ This module defines the :class:`Protocol` interface and the
 from __future__ import annotations
 
 import abc
+import math
 import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Sequence
@@ -108,8 +109,12 @@ class WorkAllocation:
         if w.shape != (n,):
             raise ProtocolError(
                 f"w must have shape ({n},) matching the profile, got {w.shape}")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ProtocolError("work quanta must be nonnegative and finite")
+        # The total is finite only if every quantum is and their sum
+        # does not overflow a double.
+        if np.any(w < 0) or not math.isfinite(w.sum()):
+            raise ProtocolError(
+                "work quanta must be nonnegative and finite, with a "
+                "finite total")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "w", w)

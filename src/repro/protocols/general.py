@@ -146,8 +146,8 @@ def _simplex_w(A_ub: np.ndarray, lifespan: float,
     Raises
     ------
     InfeasibleScheduleError
-        If the certificate fails or the pivot cap is hit: a refused
-        request is better than an unverified ``w``.
+        If the certificate fails, the pivot cap is hit or the tableau
+        overflows: a refused request is better than an unverified ``w``.
     """
     m, n = A_ub.shape
     T = np.zeros((m + 1, n + m + 1))
@@ -171,8 +171,16 @@ def _simplex_w(A_ub: np.ndarray, lifespan: float,
         column = T[:m, j]
         rows = np.flatnonzero(column > tol)
         ratios = T[rows, -1] / column[rows]
-        tied = rows[ratios <= ratios.min() * (1.0 + tol)]
-        r = int(tied[np.argmin(basis[tied])])
+        try:
+            tied = rows[ratios <= ratios.min() * (1.0 + tol)]
+            r = int(tied[np.argmin(basis[tied])])
+        except ValueError:
+            # A ≥ 0 with a positive diagonal bounds the LP, so every
+            # entering column has a finite ratio unless the tableau
+            # overflowed (a lifespan or Bρ near the largest double).
+            raise InfeasibleScheduleError(
+                f"LP simplex for ({protocol_name}) protocol overflowed a "
+                f"double at pivot {pivot}") from None
         T[r] /= T[r, j]
         pivot_row = T[r].copy()
         T -= np.outer(T[:, j], pivot_row)
@@ -226,7 +234,8 @@ def lp_allocation(profile: Profile, params: ModelParams, lifespan: float,
     ------
     InfeasibleScheduleError
         If a rejected LP's simplex answer fails its duality certificate
-        or its pivot cap (neither seen in testing).
+        or its pivot cap (neither seen in testing), or overflows a
+        double (a lifespan or ``Bρ`` near the largest one).
     """
     (allocation,) = lp_allocation_many(
         profile, params, lifespan, [(startup_order, finishing_order)],

@@ -41,11 +41,15 @@ See ``docs/SERVICE.md`` for endpoint semantics, dedup guarantees,
 shedding behaviour, and the multi-worker scale-out model.
 """
 
-from repro.service.app import ReproService
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.config import ServiceConfig
-from repro.service.runtime import ServiceThread, run_service
-from repro.service.supervisor import Supervisor
+from repro._lazy import lazy_exports
 
 __all__ = ["ReproService", "ServiceClient", "ServiceError", "ServiceConfig",
            "ServiceThread", "Supervisor", "run_service"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.app": ("ReproService",),
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.config": ("ServiceConfig",),
+    "repro.service.runtime": ("ServiceThread", "run_service"),
+    "repro.service.supervisor": ("Supervisor",),
+})

@@ -64,8 +64,6 @@ from repro.core.profile import Profile
 from repro.errors import (CLIENT_ERRORS, FAULT_ERRORS, CodedSchemeError,
                           InvalidParameterError, InvalidProfileError,
                           ProtocolError, StreamEventError, error_class)
-from repro.experiments.base import experiment_index, list_experiments
-from repro.obs.export import prometheus_text
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.store import RunStore, default_store_path
 from repro.obs.tracing import Observation, Tracer, new_span_id, observe
@@ -780,11 +778,15 @@ class ReproService:
         ).set(len(self.cache))
 
     async def _handle_metrics(self, request: Request) -> _Response:
+        from repro.obs.export import prometheus_text
+
         self.publish_cache_gauges()
         text = prometheus_text(self.registry, exemplars=True)
         return _Response(200, text.encode("utf-8"), content_type=_PROM)
 
     async def _handle_experiment_index(self, request: Request) -> _Response:
+        from repro.experiments.base import experiment_index
+
         return _json_response(200, {"experiments": experiment_index()})
 
     @staticmethod
@@ -828,6 +830,8 @@ class ReproService:
         return handle
 
     async def _handle_experiment_run(self, request: Request) -> _Response:
+        from repro.experiments.base import list_experiments
+
         experiment_id = request.path.rsplit("/", 1)[-1]
         if experiment_id not in list_experiments():
             return _error_response(

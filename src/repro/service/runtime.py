@@ -17,14 +17,16 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import threading
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ReproError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
 from repro.service.app import ReproService
-from repro.service.client import ServiceClient
 from repro.service.config import ServiceConfig
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient
 
 __all__ = ["ServiceThread", "run_service"]
 
@@ -154,4 +156,6 @@ class ServiceThread:
 
     def client(self, *, timeout: float = 30.0) -> ServiceClient:
         """A fresh client bound to this server (one per thread, please)."""
+        from repro.service.client import ServiceClient
+
         return ServiceClient(self.host, self.port, timeout=timeout)

@@ -1,17 +1,6 @@
 """Shared utilities: array validation, number formatting, ASCII rendering."""
 
-from repro.util.arrays import (
-    as_float_vector,
-    is_nonincreasing,
-    is_nondecreasing,
-    validate_positive_vector,
-)
-from repro.util.format import (
-    format_quantity,
-    format_ratio,
-    format_seconds,
-    significant,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "as_float_vector",
@@ -23,3 +12,10 @@ __all__ = [
     "format_seconds",
     "significant",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.util.arrays": ("as_float_vector", "is_nonincreasing",
+                          "is_nondecreasing", "validate_positive_vector"),
+    "repro.util.format": ("format_quantity", "format_ratio",
+                          "format_seconds", "significant"),
+})

@@ -1,5 +1,7 @@
 """Unit tests for repro.core.measure (eq. (1), Theorem 2, eq. (3))."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,9 @@ from repro.core.measure import (
     x_measure,
 )
 from repro.core.batch_kernels import ProfileBatch
-from repro.core.params import NEGLIGIBLE_OVERHEADS
+from repro.core.params import NEGLIGIBLE_OVERHEADS, ModelParams
 from repro.core.profile import Profile
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, InvalidProfileError
 from tests.conftest import PARAM_GRID, PROFILE_GRID
 
 
@@ -61,6 +63,18 @@ class TestXMeasure:
         x = x_measure(Profile.homogeneous(10_000, 1e-4), paper_params)
         assert x <= bound * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("rho, params", [
+        # B·ρ = inf: a factor inf/inf makes X NaN.
+        ([sys.float_info.max, 0.5], ModelParams(tau=0.1, pi=0.01)),
+        # B·ρ + A = inf for every ρ: every term 1/inf makes X zero.
+        ([1.0, 0.5, 0.25], ModelParams(tau=0.1, pi=1e308, delta=5e-324)),
+    ], ids=["nan", "zero"])
+    def test_refuses_x_that_is_not_a_positive_double(self, rho, params):
+        with pytest.raises(InvalidProfileError, match="positive finite"):
+            x_measure(rho, params)
+        with pytest.raises(InvalidProfileError, match="positive finite"):
+            ProfileBatch([[1.0] * len(rho), rho]).x(params)
+
     def test_adding_a_computer_increases_x(self, paper_params):
         p = Profile([1.0, 0.5])
         assert x_measure(p.extended(0.7), paper_params) > x_measure(p, paper_params)
@@ -101,6 +115,28 @@ class TestWorkProduction:
             work_production(table4_profile, paper_params, 0.0)
         with pytest.raises(InvalidParameterError):
             work_production(table4_profile, paper_params, -1.0)
+
+    @pytest.mark.parametrize("lifespan", [1e308, sys.float_info.max])
+    def test_refuses_overflowed_work(self, paper_params, lifespan):
+        # W = L × rate; rate ≈ 1.5 here, so a finite L near the largest
+        # double gives W = inf, which both forms refuse.
+        profile = Profile([1.0, 0.5])
+        assert work_rate(profile, paper_params) > 1.0
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            work_production(profile, paper_params, lifespan)
+        with pytest.raises(InvalidParameterError, match="overflows"):
+            ProfileBatch([[0.5, 0.5], [1.0, 0.5]]).work_production(
+                paper_params, lifespan)
+
+    def test_largest_finite_work_is_answered(self, paper_params):
+        # A rate below 1 keeps even the largest lifespan's W finite.
+        profile = Profile([1.0])
+        assert work_rate(profile, paper_params) < 1.0
+        lifespan = sys.float_info.max
+        expected = lifespan * work_rate(profile, paper_params)
+        assert work_production(profile, paper_params, lifespan) == expected
+        assert ProfileBatch([[1.0]]).work_production(
+            paper_params, lifespan)[0] == expected
 
     def test_work_rate_tracks_x(self, paper_params):
         # X(P1) >= X(P2) iff W(L;P1) >= W(L;P2).

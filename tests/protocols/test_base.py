@@ -1,5 +1,7 @@
 """Unit tests for repro.protocols.base."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,12 @@ class TestWorkAllocation:
     def test_rejects_negative_work(self):
         with pytest.raises(ProtocolError):
             _alloc(w=(-1.0, 2.0))
+
+    def test_rejects_a_total_that_overflows(self):
+        # Each quantum is finite; their sum is not a double.
+        big = sys.float_info.max
+        with pytest.raises(ProtocolError, match="finite total"):
+            _alloc(w=(big, big))
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ProtocolError):

@@ -1,11 +1,13 @@
 """Unit tests for repro.protocols.general — the LP scheduler."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from repro.core.params import ModelParams
+from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
-from repro.errors import ProtocolError
+from repro.errors import InfeasibleScheduleError, ProtocolError
 from repro.protocols.fifo import fifo_allocation
 from repro.protocols.general import (
     GeneralProtocol,
@@ -67,6 +69,27 @@ class TestLpAllocation:
         without = lp_allocation(table4_profile, params, 10.0, order, order,
                                 enforce_separation=False).total_work
         assert without >= with_sep
+
+
+class TestOverflowIsRefused:
+    """Finite inputs whose arithmetic leaves the doubles are refused
+    with a typed error, never answered with inf/NaN or a ValueError."""
+
+    SIGMA, PHI = (0, 1, 2, 3), (3, 2, 1, 0)
+
+    def test_constraint_coefficient_overflow(self):
+        # B = 2e300 is finite, but B·ρ for ρ = 1e308 is not.
+        with pytest.raises(InfeasibleScheduleError, match="overflowed"):
+            lp_allocation(Profile([1e308, 0.5, 0.25, 0.2]),
+                          ModelParams(tau=0.5, pi=1e300), 100.0,
+                          self.SIGMA, self.PHI)
+
+    def test_simplex_tableau_overflow(self):
+        # At the largest double the linear solve's w is not finite, and
+        # the simplex that takes over overflows its tableau.
+        with pytest.raises(InfeasibleScheduleError, match="overflowed"):
+            lp_allocation(Profile([1.0, 0.5, 0.25, 0.2]), PAPER_TABLE1,
+                          sys.float_info.max, self.SIGMA, self.PHI)
 
 
 class TestLpAllocationMany:

@@ -103,6 +103,19 @@ class TestEvaluationEndpoints:
         assert error.startswith("InvalidParameterError: ")
         assert "B is not finite" in error
 
+    def test_work_overflowing_a_finite_lifespan_is_400(self, server):
+        # W = L × rate overflows for a finite L: refused as invalid
+        # input, not answered with a 500 from the JSON encoder.
+        with server.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.work([1.0, 0.5], lifespan=1e308)
+            # The refusal is per request: the server answers on.
+            assert client.work([1.0, 0.5], lifespan=1e300)["work"] > 0
+        assert excinfo.value.status == 400
+        error = excinfo.value.payload["error"]
+        assert error.startswith("InvalidParameterError: ")
+        assert "overflows" in error
+
     @pytest.mark.parametrize("protocol", ["lp", "fifo"])
     @pytest.mark.parametrize("field", ["startup_order", "finishing_order"])
     @pytest.mark.parametrize("order", [[0, 1, "x"], [0, 1, None],

@@ -67,6 +67,76 @@ def test_import_loads_no_solver_and_no_runner(module, tmp_path):
     assert loaded == {"scipy": [], "runners": []}
 
 
+#: Modules a serving process never runs: the experiment registry, the
+#: predictors, exact and comparative evaluation, the exporters, the
+#: blocking client (``http.client``, ``email``), the pre-fork supervisor
+#: (``multiprocessing``) and protocol conformance, timelines,
+#: feasibility and LIFO.  Each is imported by the route or method that
+#: uses it.
+_NOT_SERVING = (
+    "repro.experiments", "repro.experiments.base", "repro.predictors",
+    "repro.core.compare", "repro.core.exact", "repro.obs.export",
+    "repro.service.client", "http.client", "email",
+    "repro.service.supervisor", "multiprocessing",
+    "repro.protocols.conformance", "repro.protocols.timeline",
+    "repro.protocols.feasibility", "repro.protocols.lifo",
+)
+
+
+def test_serve_imports_load_only_what_serving_runs(tmp_path):
+    code = ("import json, sys\n"
+            "import repro.cli, repro.service.app, repro.service.runtime\n"
+            f"print(json.dumps([m for m in {_NOT_SERVING!r} "
+            "if m in sys.modules]))")
+    assert json.loads(_python(code, tmp_path)) == []
+
+
+#: The packages whose ``__init__`` re-exports names lazily.
+_LAZY_PACKAGES = ("repro", "repro.core", "repro.protocols", "repro.obs",
+                  "repro.service", "repro.util", "repro.experiments")
+
+#: Reads every ``__all__`` name of the lazy packages, then imports every
+#: module of ``repro`` and prints the names whose value is not what a
+#: non-package module binds under that name (for a class or function:
+#: the module its ``__module__`` names), or is no longer what the
+#: package holds, and whether ``repro.core.hecr`` is the function.
+_EXPORTS_ARE_DEFINITIONS = """
+import importlib, json, pkgutil, sys, types
+read = {(package, name): getattr(importlib.import_module(package), name)
+        for package in PACKAGES
+        for name in importlib.import_module(package).__all__
+        if not name.startswith("__")}
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+modules = [m for name, m in sorted(sys.modules.items())
+           if name.startswith("repro.") and not hasattr(m, "__path__")]
+bad = []
+for (package, name), value in read.items():
+    if isinstance(value, (type, types.FunctionType)):
+        homes = [sys.modules[value.__module__]]
+    else:
+        homes = modules
+    if (not any(vars(m).get(name) is value for m in homes)
+            or getattr(sys.modules[package], name) is not value):
+        bad.append(f"{package}.{name}")
+print(json.dumps({"bad": bad, "hecr": isinstance(
+    sys.modules["repro.core"].hecr, types.FunctionType)}))
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "",
+    "import repro.cli, repro.service.app, repro.service.runtime",
+    "import repro.core.hecr",
+], ids=["nothing", "serve", "hecr-module"])
+def test_package_exports_resolve_to_their_definitions(first, tmp_path):
+    # ``first`` runs before any name is read: the serve path imports the
+    # module repro.core.hecr, which must not shadow the function.
+    code = f"PACKAGES = {_LAZY_PACKAGES!r}\n{first}\n" + _EXPORTS_ARE_DEFINITIONS
+    assert json.loads(_python(code, tmp_path)) == {"bad": [], "hecr": True}
+
+
 def test_cli_list_loads_no_solver_and_no_runner(tmp_path):
     code = ("from repro.cli import main\n"
             "assert main(['list']) == 0\n" + _LOADED)
