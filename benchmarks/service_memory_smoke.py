@@ -22,12 +22,20 @@ the cache's one-body probation segment, so a stream without repeats
 cannot fill the budget (a cache that stores every first answer ends
 near 1 MB).
 
+A third phase boots a fresh server (so the first phases' peak cannot
+hide its growth) and posts a ``synthetic_trace`` of a drifting
+8-computer cluster to ``/v1/stream/events``, 64 events a post.  It
+reads ``VmHWM`` when window 1,000 has closed and again at window
+5,000, and fails when the peak grew by 3 MB or more: a session that
+keeps a record or an event per window grows by ~5 MB per 1,000 windows
+of this cluster, while one that folds its history stays flat.
+
 Usage::
 
     python benchmarks/service_memory_smoke.py [--rounds 60] [--n 45000]
                                               [--max-growth-mb 48]
 
-Exits 0 when both checks pass, 1 when either fails.  Needs Linux
+Exits 0 when all three checks pass, 1 when any fails.  Needs Linux
 (``/proc/<pid>/status``).
 """
 
@@ -35,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import http.client
+import itertools
 import json
 import os
 import random
@@ -49,6 +58,9 @@ ROOT = Path(__file__).resolve().parent.parent
 _LISTEN = re.compile(rb"serving on http://([^:\s]+):(\d+)")
 _CACHE_BYTES = 4 << 20
 _FLOOD_BODIES, _FLOOD_N = 300, 64
+_STREAM_PROFILE = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3]
+_STREAM_CHUNK, _STREAM_BASELINE = 64, 1_000
+_STREAM_WINDOWS, _STREAM_MAX_GROWTH_MB = 5_000, 3.0
 
 
 def _vm_hwm_mb(pid: int) -> float:
@@ -79,7 +91,7 @@ def _boot(state: Path) -> tuple[subprocess.Popen, str, int, Path]:
     raise SystemExit(f"server did not start: {log.read_text()[-2000:]}")
 
 
-def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> None:
+def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> bytes:
     conn.request("POST", path, body=json.dumps(body).encode(),
                  headers={"Content-Type": "application/json"})
     response = conn.getresponse()
@@ -87,6 +99,7 @@ def _post(conn: http.client.HTTPConnection, path: str, body: dict) -> None:
     if response.status != 200:
         raise SystemExit(f"POST {path} answered {response.status}: "
                          f"{answer[:200]!r}")
+    return answer
 
 
 def _cache_bytes(conn: http.client.HTTPConnection) -> int:
@@ -95,6 +108,42 @@ def _cache_bytes(conn: http.client.HTTPConnection) -> int:
     text = conn.getresponse().read().decode()
     return int(float(re.search(r"^svc_response_cache_bytes (\S+)$", text,
                                re.M)[1]))
+
+
+def _stream_phase() -> tuple[float, float]:
+    """``VmHWM`` of a fresh server after stream window 1,000 and after
+    window 5,000 of a drifting cluster's trace."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.stream import event_to_dict, synthetic_trace
+
+    trace = synthetic_trace(profile=_STREAM_PROFILE,
+                            windows=_STREAM_WINDOWS + 1,
+                            drift_worker=2, drift_factor=1.5,
+                            drift_window=500)
+    marks: dict[int, float] = {}
+    with tempfile.TemporaryDirectory(prefix="repro-memsmoke-") as tmp:
+        proc, host, port, _ = _boot(Path(tmp))
+        try:
+            conn = http.client.HTTPConnection(host, port, timeout=120.0)
+            body: dict = {"reset": True, "window": 10.0}
+            while len(marks) < 2:
+                chunk = [event_to_dict(event) for event in
+                         itertools.islice(trace, _STREAM_CHUNK)]
+                if not chunk:
+                    raise SystemExit("stream trace ended before window "
+                                     f"{_STREAM_WINDOWS} closed")
+                answer = _post(conn, "/v1/stream/events",
+                               {**body, "events": chunk})
+                body = {}
+                closed = json.loads(answer)["state"]["windows_closed"]
+                for mark in (_STREAM_BASELINE, _STREAM_WINDOWS):
+                    if closed >= mark and mark not in marks:
+                        marks[mark] = _vm_hwm_mb(proc.pid)
+            conn.close()
+        finally:
+            proc.terminate()
+            proc.wait(timeout=30.0)
+    return marks[_STREAM_BASELINE], marks[_STREAM_WINDOWS]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -134,7 +183,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"response cache holds {flooded} bytes after {_FLOOD_BODIES} "
           f"distinct n = {_FLOOD_N} /v1/allocate requests; bound "
           f"{flood_bound} bytes")
-    return 0 if growth < args.max_growth_mb and flooded <= flood_bound else 1
+    base, end = _stream_phase()
+    stream_growth = end - base
+    print(f"VmHWM {base:.1f} -> {end:.1f} MB (+{stream_growth:.1f} MB) "
+          f"from stream window {_STREAM_BASELINE} to {_STREAM_WINDOWS}; "
+          f"bound +{_STREAM_MAX_GROWTH_MB:g} MB")
+    return 0 if (growth < args.max_growth_mb and flooded <= flood_bound
+                 and stream_growth < _STREAM_MAX_GROWTH_MB) else 1
 
 
 if __name__ == "__main__":

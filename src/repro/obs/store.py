@@ -42,6 +42,8 @@ import time
 from pathlib import Path
 from typing import Any, Iterable
 
+import orjson
+
 from repro.obs.tracing import new_span_id
 
 __all__ = ["RunStore", "default_store_path"]
@@ -104,8 +106,16 @@ def default_store_path() -> Path:
 
 
 def _json_or_none(document: Any) -> str | None:
+    """Compact JSON, or None.  orjson first (it writes NaN and ±inf as
+    ``null``); stdlib json for what orjson refuses — non-string keys,
+    integers past 64 bits, numpy scalars and other types through
+    ``str``."""
     if document is None:
         return None
+    try:
+        return orjson.dumps(document).decode()
+    except TypeError:
+        pass
     try:
         return json.dumps(document, separators=(",", ":"), default=str)
     except (TypeError, ValueError):

@@ -483,16 +483,16 @@ class ReproService:
     async def stop(self) -> None:
         """Drain and shut down: the clean-exit path for SIGTERM/SIGINT."""
         await self.drain(self.config.drain_timeout)
-        async with self._stream_lock:
-            if self._stream is not None:
-                # Flush the live stream session so its run row finalises
-                # (status "ok" + recorded events) instead of dangling.
-                self._stream.finish()
-                self._stream = None
-        if self.store is not None:
-            self._flush_store()
-            self.store.close()
-            self.store = None
+        try:
+            async with self._stream_lock:
+                stream, self._stream = self._stream, None
+                if stream is not None:  # finalise its run row: "ok"
+                    stream.finish()
+        finally:
+            if self.store is not None:
+                self._flush_store()
+                self.store.close()
+                self.store = None
 
     async def drain(self, timeout: float) -> None:
         """Stop accepting, finish in-flight work, then close connections.
@@ -893,14 +893,16 @@ class ReproService:
         })
 
     # -- stream endpoints (docs/STREAM.md) ------------------------------
-    def _new_stream_processor(self, body: dict[str, Any]):
+    def _new_stream_processor(self, body: dict[str, Any], events: list):
         """Build the session processor from the creating request's body.
 
         Session knobs (``window``, ``params``, ``what_if``,
         ``calibrate``, ``forget``) are read only here — on the first
         POST, or one carrying ``reset``; later posts just feed events.
+        Every event of the post must fall in a window of the new
+        session, checked before the processor (and its run row) exists.
         """
-        from repro.stream import StreamProcessor
+        from repro.stream import StreamProcessor, WindowManager
 
         window = body.get("window", 10.0)
         if isinstance(window, bool) or not isinstance(window, (int, float)):
@@ -918,8 +920,12 @@ class ReproService:
         if isinstance(forget, bool) or not isinstance(forget, (int, float)):
             raise InvalidParameterError(
                 f"forget must be a number in (0, 1], got {forget!r}")
+        params = _parse_params(body.get("params"))
+        windows = WindowManager(float(window))
+        for event in events:
+            windows.index_of(event.time)
         return StreamProcessor(
-            float(window), params=_parse_params(body.get("params")),
+            float(window), params=params,
             calibrate=calibrate, what_if=what_if, forget=float(forget),
             registry=self.registry, store=self.store, label="service")
 
@@ -944,24 +950,31 @@ class ReproService:
         if refusal is not None:
             return refusal
         body = self._json_body(request)
-        events = body.get("events", [])
-        if not isinstance(events, list):
+        raw = body.get("events", [])
+        if not isinstance(raw, list):
             raise InvalidParameterError(
                 "events must be a JSON array of event objects")
+        # Check the whole post first: a refused post changes nothing.
+        events = []
+        for index, obj in enumerate(raw):
+            if not isinstance(obj, dict):
+                raise StreamEventError(
+                    f"event {index} must be a JSON object, "
+                    f"got {type(obj).__name__}")
+            events.append(event_from_dict(obj))
         async with self._stream_lock:
-            if body.get("reset") and self._stream is not None:
-                self._stream.finish()
-                self._stream = None
-            if self._stream is None:
-                self._stream = self._new_stream_processor(body)
-            processor = self._stream
+            if body.get("reset") or self._stream is None:
+                processor = self._new_stream_processor(body, events)
+                if self._stream is not None:
+                    self._stream.finish()
+                self._stream = processor
+            else:
+                processor = self._stream
+                for event in events:
+                    processor.windows.index_of(event.time)
             records: list[dict] = []
-            for index, obj in enumerate(events):
-                if not isinstance(obj, dict):
-                    raise StreamEventError(
-                        f"event {index} must be a JSON object, "
-                        f"got {type(obj).__name__}")
-                records.extend(processor.feed(event_from_dict(obj)))
+            for event in events:
+                records.extend(processor.feed(event))
             if body.get("finish"):
                 records.extend(processor.finish())
                 self._stream = None

@@ -15,8 +15,7 @@ the sharded ``stream-replay`` experiment.
 """
 
 from repro.stream.calibrate import CalibrationSnapshot, Calibrator
-from repro.stream.engine import (EVENT_LOG_LIMIT, StreamProcessor,
-                                 record_to_line)
+from repro.stream.engine import StreamProcessor, record_to_line
 from repro.stream.events import (EVENT_TYPES, StreamEvent, canonical_key,
                                  event_from_dict, event_to_dict,
                                  event_to_line, file_source,
@@ -26,10 +25,9 @@ from repro.stream.synthetic import synthetic_trace, write_trace
 from repro.stream.windows import ClusterState, Window, WindowManager
 
 __all__ = [
-    "CalibrationSnapshot", "Calibrator", "ClusterState", "EVENT_LOG_LIMIT",
-    "EVENT_TYPES", "StreamEvent", "StreamProcessor", "Window",
-    "WindowManager", "canonical_key", "event_from_dict", "event_to_dict",
-    "event_to_line", "file_source", "parse_event_line", "read_events",
-    "record_to_line", "stdin_source", "store_source", "synthetic_trace",
-    "write_trace",
+    "CalibrationSnapshot", "Calibrator", "ClusterState", "EVENT_TYPES",
+    "StreamEvent", "StreamProcessor", "Window", "WindowManager",
+    "canonical_key", "event_from_dict", "event_to_dict", "event_to_line",
+    "file_source", "parse_event_line", "read_events", "record_to_line",
+    "stdin_source", "store_source", "synthetic_trace", "write_trace",
 ]

@@ -39,8 +39,9 @@ prediction) and from the operator's initial, uncalibrated model; the
 two mean-absolute-percentage errors go into every window record and
 the ``stream_calibration_mape`` gauges.
 
-The per-window ρ̂ history doubles as drift detection: workers whose
-fitted ρ strays from the declared value yield piecewise-speed
+Each window's ρ̂ doubles as drift detection, folded into per-worker
+drift phases as the window closes: workers whose fitted ρ strays from
+the declared value yield piecewise-speed
 :class:`~repro.faults.models.FaultTimeline` objects — rendered as
 ``speeds:`` clauses of the scenario grammar, so an observed drift can
 be replayed through the fault-aware simulator verbatim.
@@ -52,7 +53,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.params import ModelParams
-from repro.errors import StreamError
+from repro.errors import InvalidParameterError, StreamError
 from repro.faults.models import FaultTimeline
 from repro.stream.windows import Window
 
@@ -71,7 +72,8 @@ class CalibrationSnapshot:
     end: float
     observations: int
     #: One-step-ahead MAPE of the *previous* fit on this window (None
-    #: when the window carried no milestone observations).
+    #: when the window carried no milestone observations, or when a
+    #: prediction overflowed a double).
     mape: float | None
     #: Same observations scored by the initial, uncalibrated model.
     baseline_mape: float | None
@@ -107,14 +109,19 @@ class Calibrator:
         multiplies every least-squares accumulator by this before the
         new observations are added.  1 never forgets (pure averaging);
         smaller values track drift faster at the cost of noise.
+    threshold:
+        Relative deviation of fitted from declared ρ that counts as
+        drift, and between adjacent drifted windows that merge.
     """
 
-    def __init__(self, params: ModelParams, *, forget: float = 0.35) -> None:
+    def __init__(self, params: ModelParams, *, forget: float = 0.35,
+                 threshold: float = 0.1) -> None:
         if not (0.0 < forget <= 1.0):
             raise StreamError(
                 f"forget factor must lie in (0, 1], got {forget!r}")
         self.initial = params
         self.forget = float(forget)
+        self.threshold = float(threshold)
         self._params = params
         # Weighted least-squares sums for d = slope·w through the origin:
         # slope = Σ(w·d) / Σ(w²), decayed per window.
@@ -124,7 +131,8 @@ class Calibrator:
         self._td_den = 0.0
         self._busy: dict[int, list[float]] = {}   # worker -> [num, den]
         self._rho: dict[int, float] = {}
-        self.history: list[CalibrationSnapshot] = []
+        #: Per drifting worker, its merged ``(start, end, factor)`` phases.
+        self._phases: dict[int, list[tuple[float, float, float]]] = {}
 
     # -- current fit ---------------------------------------------------
     @property
@@ -182,7 +190,8 @@ class Calibrator:
             errors.append(abs(predicted - observed) / observed)
         if not errors:
             return None
-        return sum(errors) / len(errors)
+        mape = sum(errors) / len(errors)
+        return mape if math.isfinite(mape) else None
 
     def observe_window(self, window: Window,
                        declared: dict[int, float]) -> CalibrationSnapshot:
@@ -225,14 +234,13 @@ class Calibrator:
                 cell[1] += w * w
 
         self._refit(declared)
-        snapshot = CalibrationSnapshot(
+        self._fold_drift(window.start, window.end, declared)
+        return CalibrationSnapshot(
             window=window.index, start=window.start, end=window.end,
             observations=len(rows), mape=mape, baseline_mape=baseline,
             tau=self._params.tau, pi=self._params.pi,
             delta=self._params.delta, rho=dict(self._rho),
             declared=dict(declared))
-        self.history.append(snapshot)
-        return snapshot
 
     def _refit(self, declared: dict[int, float]) -> None:
         a_hat = (self._a_num / self._a_den if self._a_den > 0.0
@@ -249,8 +257,8 @@ class Calibrator:
             b_hat = max(1.0, min(ratios))
         else:
             b_hat = self.initial.B
-        self._rho = {worker: slope / b_hat
-                     for worker, slope in sorted(slopes.items())}
+        rho = {worker: slope / b_hat
+               for worker, slope in sorted(slopes.items())}
 
         # Solve A = π+τ, τδ = td, B = 1+(1+δ)π for (τ, π, δ): one
         # quadratic in δ (see the module docstring), then back-substitute.
@@ -263,54 +271,53 @@ class Calibrator:
             delta = self.initial.delta
         pi = max(0.0, (b_hat - 1.0) / (1.0 + delta))
         tau = max(a_hat - pi, _MIN_TAU)
-        self._params = ModelParams(tau=tau, pi=pi, delta=delta)
+        # A fit that overflows (a slope past the largest double, or a ρ
+        # that underflows to 0) leaves the last fit in place.
+        try:
+            params = ModelParams(tau=tau, pi=pi, delta=delta)
+        except InvalidParameterError:
+            return
+        if all(0.0 < r < math.inf for r in rho.values()):
+            self._rho, self._params = rho, params
 
     # -- drift surfacing (satellite: FaultTimeline promotion) ----------
-    def drift_factors(self, *, threshold: float = 0.1
-                      ) -> dict[int, list[tuple[float, float, float]]]:
-        """Per worker: ``(start, end, factor)`` windows where the fitted
-        ρ strayed from the declared ρ by more than ``threshold``
-        (relative).  ``factor > 1`` is a slowdown, ``< 1`` a speedup."""
-        out: dict[int, list[tuple[float, float, float]]] = {}
-        for snap in self.history:
-            for worker, fitted in snap.rho.items():
-                base = snap.declared.get(worker)
-                if not base or base <= 0.0:
-                    continue
-                factor = fitted / base
-                if abs(factor - 1.0) > threshold:
-                    out.setdefault(worker, []).append(
-                        (snap.start, snap.end, factor))
-        return out
+    def _fold_drift(self, start: float, end: float,
+                    declared: dict[int, float]) -> None:
+        """Fold this window into each drifting worker's phases.
 
-    def speed_timelines(self, *, threshold: float = 0.1
-                        ) -> dict[int, FaultTimeline]:
-        """One piecewise-speed :class:`FaultTimeline` per drifting worker.
-
-        Adjacent drifted windows whose factors agree within
-        ``threshold`` merge into one phase (carrying the run's final,
-        most-converged factor).
+        ``factor = fitted/declared ρ`` (> 1 a slowdown) counts as drift
+        when it strays from 1 by more than ``threshold``.  A drifted
+        window right after the worker's last phase, with a factor within
+        ``threshold`` of it, extends that phase and hands it its own,
+        more converged factor; any other opens a new phase.
         """
-        timelines: dict[int, FaultTimeline] = {}
-        for worker, spans in self.drift_factors(threshold=threshold).items():
-            phases: list[tuple[float, float, float]] = []
-            for start, end, factor in spans:
-                if phases:
-                    ps, pe, pf = phases[-1]
-                    if (math.isclose(pe, start, rel_tol=1e-9, abs_tol=1e-9)
-                            and abs(factor - pf) <= threshold * pf):
-                        phases[-1] = (ps, end, factor)
-                        continue
-                phases.append((start, end, factor))
-            timelines[worker] = FaultTimeline(slowdowns=phases)
-        return timelines
+        for worker, fitted in self._rho.items():
+            base = declared.get(worker)
+            if not base or base <= 0.0:
+                continue
+            factor = fitted / base
+            if abs(factor - 1.0) <= self.threshold:
+                continue
+            phases = self._phases.setdefault(worker, [])
+            if phases:
+                ps, pe, pf = phases[-1]
+                if (math.isclose(pe, start, rel_tol=1e-9, abs_tol=1e-9)
+                        and abs(factor - pf) <= self.threshold * pf):
+                    phases[-1] = (ps, end, factor)
+                    continue
+            phases.append((start, end, factor))
 
-    def speed_clauses(self, *, threshold: float = 0.1) -> list[str]:
+    def speed_timelines(self) -> dict[int, FaultTimeline]:
+        """One piecewise-speed :class:`FaultTimeline` per drifting
+        worker, in the order the workers first drifted."""
+        return {worker: FaultTimeline(slowdowns=phases)
+                for worker, phases in self._phases.items()}
+
+    def speed_clauses(self) -> list[str]:
         """The drift timelines as ``speeds:`` clauses of the scenario
         grammar — ready to paste into ``--faults`` and replay."""
         clauses = []
-        for worker, timeline in sorted(
-                self.speed_timelines(threshold=threshold).items()):
+        for worker, timeline in sorted(self.speed_timelines().items()):
             for start, end, factor in timeline.slowdowns:
                 clauses.append(f"speeds:{worker}@{start:g}+{end - start:g}"
                                f"x{factor:.6g}")

@@ -25,14 +25,15 @@ Telemetry flows through the PR-1 metrics registry (``stream_*``
 counters and gauges) and, when a run-history store is supplied, each
 window's calibration snapshot is persisted live as a ``stream:window``
 span record — so ``repro-hetero obs tail --follow`` can watch a stream
-run from a second terminal — and the raw events are stored with the
-final run row for later ``--replay``.
+run from a second terminal — carrying the events that arrived since
+the previous row, so ``--replay`` reads any run back from its rows.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from typing import Any, Iterable, Iterator
 
@@ -41,17 +42,14 @@ import numpy as np
 from repro.core.batch_kernels import ProfileBatch
 from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
-from repro.errors import StreamError
+from repro.errors import InvalidProfileError, StreamError
 from repro.protocols.fifo import fifo_work_fractions
 from repro.stream.calibrate import Calibrator
-from repro.stream.events import StreamEvent, event_to_dict
+from repro.stream.events import (STORED_EVENTS_KEY, StreamEvent,
+                                 event_to_dict)
 from repro.stream.windows import ClusterState, Window, WindowManager
 
-__all__ = ["StreamProcessor", "record_to_line", "EVENT_LOG_LIMIT"]
-
-#: Largest event log persisted for ``--replay``; longer streams store
-#: no events (a truncated replay would silently diverge).
-EVENT_LOG_LIMIT = 50_000
+__all__ = ["StreamProcessor", "record_to_line"]
 
 
 def _clean(value: float) -> float | None:
@@ -72,9 +70,14 @@ def _evaluate(rho: dict[int, float], params: ModelParams,
     ids = sorted(rho)
     vec = np.array([rho[i] for i in ids], dtype=float)
     batch = ProfileBatch(vec[None, :], copy=False)
-    x = batch.x(params)
-    rate = float(batch.work_rates(params, x=x)[0])
-    hecr = float(batch.hecr(params, x=x)[0])
+    try:
+        x = batch.x(params)
+    except InvalidProfileError:  # a ρ so large that Bρ + A overflows
+        x = np.array([math.nan])
+        rate = hecr = math.nan
+    else:
+        rate = float(batch.work_rates(params, x=x)[0])
+        hecr = float(batch.hecr(params, x=x)[0])
     fractions = fifo_work_fractions(Profile(vec), params)
     return {
         "n": len(ids),
@@ -82,7 +85,7 @@ def _evaluate(rho: dict[int, float], params: ModelParams,
         "work_rate": _clean(rate),
         "hecr": _clean(hecr),
         "w_window": _clean(rate * lifespan),
-        "allocation": {str(i): float(f) for i, f in zip(ids, fractions)},
+        "allocation": {str(i): _clean(f) for i, f in zip(ids, fractions)},
     }
 
 
@@ -102,14 +105,14 @@ class StreamProcessor:
     what_if:
         Optional shadow profile (iterable of ρ > 0): evaluated next to
         the real cluster every window, with deltas in each record.
-    forget:
-        Calibrator retention factor per window (see
+    forget, drift_threshold:
+        Calibrator retention factor per window and drift threshold (see
         :class:`~repro.stream.calibrate.Calibrator`).
     registry:
         Optional metrics registry for the ``stream_*`` series.
     store:
         Optional :class:`~repro.obs.store.RunStore`; window snapshots
-        stream in live as spans, events persist for ``--replay``.
+        stream in live as spans, carrying the events for ``--replay``.
     """
 
     def __init__(self, window: float, *, params: ModelParams = PAPER_TABLE1,
@@ -121,24 +124,26 @@ class StreamProcessor:
         self.windows = WindowManager(window)
         self.state = ClusterState()
         self.params = params
-        self.calibrator = (Calibrator(params, forget=forget)
+        self.calibrator = (Calibrator(params, forget=forget,
+                                      threshold=drift_threshold)
                            if calibrate else None)
-        self.drift_threshold = float(drift_threshold)
         self.label = label
         self._shadow: dict[int, float] | None = None
         if what_if is not None:
-            vec = [float(r) for r in what_if]
-            if not vec or any(not math.isfinite(r) or r <= 0.0 for r in vec):
+            vec = list(what_if)
+            if not vec or not all(
+                    isinstance(r, numbers.Real) and not isinstance(r, bool)
+                    and 0.0 < r < math.inf for r in vec):
                 raise StreamError(
                     f"what-if profile must be positive finite rho values, "
                     f"got {vec!r}")
-            self._shadow = dict(enumerate(vec))
+            self._shadow = {i: float(r) for i, r in enumerate(vec)}
         self._registry = registry
         self._store = store
         self._run_id: str | None = None
         self._started_at = time.time()
-        self._event_log: list[dict] = []
-        self._event_log_truncated = False
+        #: Events not yet in a stored span row (only kept with a store).
+        self._arrivals: list[dict] = []
         self.last_record: dict | None = None
         self.records_emitted = 0
         if store is not None:
@@ -157,13 +162,10 @@ class StreamProcessor:
     # -- ingestion -----------------------------------------------------
     def feed(self, event: StreamEvent) -> list[dict]:
         """Admit one event; returns a record per window it closed."""
-        if not self._event_log_truncated:
-            if len(self._event_log) < EVENT_LOG_LIMIT:
-                self._event_log.append(event_to_dict(event))
-            else:
-                self._event_log = []
-                self._event_log_truncated = True
-        return [self._close(w) for w in self.windows.add(event)]
+        records = [self._close(w) for w in self.windows.add(event)]
+        if self._run_id is not None:
+            self._arrivals.append(event_to_dict(event))
+        return records
 
     def process(self, events: Iterable[StreamEvent]) -> Iterator[dict]:
         """Feed a whole source, yielding records as windows close."""
@@ -286,6 +288,8 @@ class StreamProcessor:
                 attrs["x"] = evaluation["x"]
             if record["calibration"] is not None:
                 attrs["calibration"] = record["calibration"]
+            attrs[STORED_EVENTS_KEY] = self._arrivals
+            self._arrivals = []
             self._store.add_spans(self._run_id, [{
                 "type": "event", "name": "stream:window",
                 "ts": record["start"], "dur": self.windows.size,
@@ -327,12 +331,9 @@ class StreamProcessor:
             records.append(self._close(window))
         drift: dict[str, Any] | None = None
         if self.calibrator is not None:
-            clauses = self.calibrator.speed_clauses(
-                threshold=self.drift_threshold)
-            factors = self.calibrator.drift_factors(
-                threshold=self.drift_threshold)
-            drift = {"clauses": clauses,
-                     "workers": sorted(str(w) for w in factors)}
+            timelines = self.calibrator.speed_timelines()
+            drift = {"clauses": self.calibrator.speed_clauses(),
+                     "workers": sorted(str(w) for w in timelines)}
         params = (self.calibrator.params if self.calibrator is not None
                   else self.params)
         summary: dict[str, Any] = {
@@ -347,7 +348,13 @@ class StreamProcessor:
         }
         records.append(summary)
         self.last_record = summary
-        if self._store is not None and self._run_id is not None:
+        if self._run_id is not None:
+            if self._arrivals:  # fed after an earlier finish
+                self._store.add_spans(self._run_id, [{
+                    "type": "event", "name": "stream:events",
+                    "ts": self.windows.bounds(self.windows.current_index)[0],
+                    "attrs": {STORED_EVENTS_KEY: self._arrivals}}])
+                self._arrivals = []
             self._store.record_run(
                 run_id=self._run_id, kind="stream", label=self.label,
                 status="ok", started_at=self._started_at,
@@ -358,8 +365,5 @@ class StreamProcessor:
                        "windows": self.windows.windows_closed,
                        "events_total": self.windows.events_total,
                        "late": self.windows.late_total,
-                       "drift": drift,
-                       "events": (None if self._event_log_truncated
-                                  else self._event_log),
-                       "events_truncated": self._event_log_truncated})
+                       "drift": drift})
         return records

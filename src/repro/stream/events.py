@@ -113,7 +113,7 @@ def event_from_dict(obj: Any) -> StreamEvent:
         raise StreamEventError(
             f"event must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
-    if kind not in _TYPE_ORDER:
+    if not isinstance(kind, str) or kind not in _TYPE_ORDER:
         raise StreamEventError(
             f"unknown event type {kind!r} (known: {', '.join(EVENT_TYPES)})",
             field="type")
@@ -183,6 +183,13 @@ def event_from_dict(obj: Any) -> StreamEvent:
                     raise StreamEventError(
                         f"milestone {b_name!r} ({b!r}) precedes "
                         f"{a_name!r} ({a!r})", field=b_name)
+            # The calibrator sums w² and w × duration; one term that
+            # overflows would leave every later fit infinite.
+            if not (math.isfinite(work * work)
+                    and math.isfinite(work * (time - chain[0][1]))):
+                raise StreamEventError(
+                    f"field 'work' ({work!r}) times its milestone span "
+                    f"overflows a double", field="work")
     return StreamEvent(time=time, type=kind, worker=worker, rho=rho,
                        work=work, sent=sent, arrived=arrived,
                        completed=completed, result_started=result_started,
@@ -276,11 +283,18 @@ def stdin_source(stream: IO[str] | None = None) -> Iterator[StreamEvent]:
     yield from read_events(stream if stream is not None else sys.stdin)
 
 
+#: The stream span attribute listing the events that arrived since the
+#: previous span row, in arrival order.
+STORED_EVENTS_KEY = "arrivals"
+
+
 def store_source(store: Any, run_id: str | None = None) -> Iterator[StreamEvent]:
     """Replay the events a previous ``stream`` run persisted to the store.
 
     ``store`` is a :class:`repro.obs.store.RunStore`; ``run_id`` may be a
-    prefix, or None for the most recent ``stream`` run.  Raises
+    prefix, or None for the most recent ``stream`` run.  The events are
+    its span rows' :data:`STORED_EVENTS_KEY` lists in row order (or, for
+    older runs, the run row's ``extra.events``).  Raises
     :class:`StreamError` when no matching run recorded events — eagerly,
     so an unknown run fails at acquisition time, not at first iteration.
     """
@@ -290,14 +304,12 @@ def store_source(store: Any, run_id: str | None = None) -> Iterator[StreamEvent]
         raise StreamError(
             f"no stored stream run matching {run_id!r}" if run_id
             else "no stream run in the run-history store")
-    extra = run.get("extra") or {}
-    events = extra.get("events")
+    events = ([obj for span in store.spans(run["run_id"])
+               for obj in span["attrs"].get(STORED_EVENTS_KEY, ())]
+              or (run.get("extra") or {}).get("events"))
     if not events:
-        note = (" (its event log was truncated at persistence time)"
-                if extra.get("events_truncated") else "")
         raise StreamError(
-            f"stored run {run['run_id'][:12]} has no replayable events"
-            + note)
+            f"stored run {run['run_id'][:12]} has no replayable events")
 
     def _events() -> Iterator[StreamEvent]:
         for index, obj in enumerate(events):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.errors import StreamError
+from repro.errors import StreamError, StreamEventError
 from repro.stream.events import StreamEvent, canonical_key
 
 __all__ = ["Window", "WindowManager", "ClusterState"]
@@ -71,12 +71,21 @@ class WindowManager:
 
     # -- geometry ------------------------------------------------------
     def index_of(self, time: float) -> int:
-        """The window index event time ``time`` falls in."""
-        index = math.floor((time - self.origin) / self.size)
-        # The division can round across a window edge: settle the index
-        # against the bounds themselves, so membership is exact.
-        start, end = self.bounds(index)
-        return index + (time >= end) - (time < start)
+        """The window index event time ``time`` falls in; a
+        :class:`StreamEventError` when that window has no finite bounds
+        or no index a 64-bit integer (a JSON record's) holds."""
+        offset = (time - self.origin) / self.size
+        if abs(offset) < 2.0 ** 63:  # False for inf and NaN too
+            index = math.floor(offset)
+            # The division can round across a window edge: settle the
+            # index against the bounds themselves, so membership is exact.
+            start, end = self.bounds(index)
+            index += (time >= end) - (time < start)
+            if all(map(math.isfinite, self.bounds(index))):
+                return index
+        raise StreamEventError(
+            f"event time {time!r} is too far from the window origin "
+            f"{self.origin!r} for windows of {self.size!r}", field="time")
 
     def bounds(self, index: int) -> tuple[float, float]:
         """``[start, end)`` of window ``index``; windows tile exactly."""
@@ -100,8 +109,8 @@ class WindowManager:
         A late event (older than the open window) closes nothing and is
         *not* admitted anywhere: closed windows stay closed.
         """
-        self.events_total += 1
         index = self.index_of(event.time)
+        self.events_total += 1
         if self._current is None:
             self._current = index
         if index < self._current:

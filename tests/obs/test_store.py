@@ -201,3 +201,15 @@ class TestDurability:
             run_id = store.record_run(
                 kind="run", extra={("tuple", "key"): 1})  # unjsonable key
             assert store.get_run(run_id)["extra"] is None
+
+    def test_what_orjson_refuses_falls_back_to_stdlib_json(self, tmp_path):
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            big = store.record_run(kind="run", extra={
+                "big": 10 ** 20, "nested": {1: "int key"}})
+            non_finite = store.record_run(kind="run", extra={
+                "nan": float("nan"), "inf": float("inf")})
+            assert store.get_run(big)["extra"] == {
+                "big": 10 ** 20, "nested": {"1": "int key"}}
+            # orjson writes non-finite floats as null.
+            assert store.get_run(non_finite)["extra"] == {"nan": None,
+                                                          "inf": None}

@@ -1,4 +1,5 @@
-"""The ``/v1/*`` evaluation boundary, fuzzed against the library.
+"""The ``/v1/*`` boundary, fuzzed: evaluations against the library,
+stream posts against the session they leave behind.
 
 Valid bodies for ``/v1/x``, ``/v1/work``, ``/v1/hecr`` and
 ``/v1/allocate`` are mutated field by field — values replaced with
@@ -8,6 +9,11 @@ order elements replaced, added or removed — and posted to one live
 server.  Every answer must be a 2xx whose body equals the library's
 answer on the same parsed input, or a 4xx whose ``error`` names its
 exception type.  A 5xx never passes.
+
+Stream posts (``/v1/stream/events``) are mutated the same way, event
+by event and knob by knob.  Each must be a 2xx that accepted every
+event, or a typed 4xx after which ``GET /v1/stream/state`` reads as it
+did before the post.
 
 The suite is seeded (``derandomize=True``) with a fixed example budget
 per route, so tier-1 runs the same bodies every time.
@@ -239,3 +245,99 @@ def test_mutated_body_is_answered_or_refused_never_failed(connection, kind,
     except CLIENT_ERRORS as exc:
         pytest.fail(f"answered {answer} where the library refuses: {exc!r}")
     assert answer == expected, body
+
+
+# -- /v1/stream/events ---------------------------------------------------
+
+#: A post that opens a fresh session and closes two windows: every
+#: event type, a completion with all four milestones, and a late event.
+STREAM_BODY = {
+    "reset": True, "window": 10.0,
+    "events": [
+        {"type": "topology", "time": 0.0,
+         "workers": {"0": 1.0, "1": 0.5, "2": 0.25}},
+        {"type": "task_completed", "time": 4.0, "worker": 1, "work": 2.0,
+         "sent": 0.5, "arrived": 1.0, "completed": 3.0,
+         "result_started": 3.5},
+        {"type": "worker_joined", "time": 11.0, "worker": 3, "rho": 0.8},
+        {"type": "speed_observed", "time": 12.0, "worker": 0, "rho": 1.2},
+        {"type": "task_completed", "time": 15.0, "worker": 0, "work": 1.0,
+         "sent": 11.0, "arrived": 12.0, "completed": 13.5,
+         "result_started": 14.0},
+        {"type": "worker_left", "time": 21.0, "worker": 2},
+        {"type": "task_completed", "time": 2.0, "worker": 2, "work": 0.5},
+    ],
+}
+
+#: Top-level knobs and event fields a mutation may set or drop.
+STREAM_KNOBS = ("reset", "finish", "window", "forget", "calibrate",
+                "what_if", "params", "events", "extra")
+EVENT_FIELDS = ("type", "time", "worker", "rho", "work", "sent", "arrived",
+                "completed", "result_started", "workers", "extra")
+
+stream_values = st.one_of(
+    values, st.sampled_from(("topology", "worker_joined", "worker_left",
+                             "speed_observed", "task_completed")))
+
+
+@st.composite
+def mutated_stream_bodies(draw):
+    """``STREAM_BODY`` after one to four changes: extreme numbers in
+    event fields or knobs, any JSON value in a field, dropped fields,
+    and added, removed or replaced events."""
+    body = json.loads(json.dumps(STREAM_BODY))
+    body["reset"] = draw(st.booleans())
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        events = body.get("events")
+        op = draw(st.sampled_from(("number", "field", "drop", "knob",
+                                   "event", "resize")))
+        if op in ("number", "field", "drop") and isinstance(events, list) \
+                and events:
+            event = events[draw(st.integers(0, len(events) - 1))]
+            if not isinstance(event, dict):
+                continue
+            field = draw(st.sampled_from(EVENT_FIELDS))
+            if op == "number":
+                event[field] = draw(st.sampled_from(EXTREME_FLOATS))
+            elif op == "field":
+                event[field] = draw(stream_values)
+            else:
+                event.pop(field, None)
+        elif op == "knob":
+            knob = draw(st.sampled_from(STREAM_KNOBS))
+            body[knob] = draw(st.one_of(st.sampled_from(EXTREME_FLOATS),
+                                        stream_values))
+        elif op == "event" and isinstance(events, list) and events:
+            events[draw(st.integers(0, len(events) - 1))] = draw(values)
+        elif op == "resize" and isinstance(events, list):
+            if events and draw(st.booleans()):
+                events.pop(draw(st.integers(0, len(events) - 1)))
+            else:
+                events.append(json.loads(json.dumps(draw(st.sampled_from(
+                    STREAM_BODY["events"])))))
+    return body
+
+
+def _stream_state(conn):
+    conn.request("GET", "/v1/stream/state")
+    response = conn.getresponse()
+    assert response.status == 200
+    return json.loads(response.read())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_stream_post_is_answered_or_refused_unchanged(connection,
+                                                               data):
+    body = data.draw(mutated_stream_bodies())
+    before = _stream_state(connection)
+    status, answer = _post(connection, "/v1/stream/events",
+                           json.dumps(body).encode())
+    assert status < 500, (body, answer)
+    if status >= 400:
+        assert TYPED_REASON.match(answer["error"]), (body, answer)
+        assert _stream_state(connection) == before, body
+        return
+    assert 200 <= status < 300, (body, status, answer)
+    assert answer["accepted"] == len(body.get("events", []))

@@ -5,8 +5,11 @@ created, reset via ``reset``, finalised via ``finish``); GET
 /v1/stream/state reads its snapshot without mutating it.
 """
 
+import asyncio
+
 import pytest
 
+from repro.obs import RunStore
 from repro.obs.metrics import MetricsRegistry
 from repro.service import (ServiceClient, ServiceConfig, ServiceError,
                            ServiceThread)
@@ -129,3 +132,103 @@ class TestStreamUnderFleet:
         assert excinfo.value.status == 409
         assert excinfo.value.payload["reason"] == "multi_worker"
         assert "single worker" in excinfo.value.payload["error"]
+
+
+class TestRefusedPosts:
+    """A refused post leaves the session exactly as it found it."""
+
+    JOIN = {"type": "worker_joined", "time": 1.0, "worker": 0}
+
+    def _refused(self, client, body):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/v1/stream/events", body)
+        assert excinfo.value.status == 400
+        return excinfo.value.payload["error"]
+
+    def test_bad_event_late_in_a_post_feeds_nothing(self, server):
+        with server.client() as client:
+            client.request("POST", "/v1/stream/events",
+                           {"events": _events()[:3]})
+            before = client.request("GET", "/v1/stream/state")
+            self._refused(client, {"events": [
+                self.JOIN, {"type": "bogus", "time": 2.0}]})
+            assert client.request("GET", "/v1/stream/state") == before
+            # The retry of the corrected post counts its event once.
+            client.request("POST", "/v1/stream/events",
+                           {"events": [self.JOIN]})
+            state = client.request("GET", "/v1/stream/state")["state"]
+            assert state["events_total"] == \
+                before["state"]["events_total"] + 1
+
+    def test_refused_first_post_opens_no_session(self, server):
+        with server.client() as client:
+            self._refused(client, {"events": [
+                self.JOIN, {"type": "bogus", "time": 2.0}]})
+            assert client.request("GET", "/v1/stream/state") == {
+                "active": False, "state": None}
+
+    def test_refused_reset_keeps_the_old_session(self, server):
+        with server.client() as client:
+            client.request("POST", "/v1/stream/events",
+                           {"events": _events()[:3]})
+            before = client.request("GET", "/v1/stream/state")
+            self._refused(client, {"reset": True, "window": 5.0,
+                                   "events": [{"type": "bogus",
+                                               "time": 2.0}]})
+            self._refused(client, {"reset": True, "window": -5.0,
+                                   "events": []})
+            assert client.request("GET", "/v1/stream/state") == before
+
+    def test_window_index_overflow_is_400(self, server):
+        with server.client() as client:
+            message = self._refused(client, {
+                "reset": True, "window": 1e-320,
+                "events": [dict(self.JOIN, time=1e300)]})
+            assert message.startswith("StreamEventError")
+            assert "too far" in message
+            client.request("POST", "/v1/stream/events",
+                           {"events": [self.JOIN]})
+            # The session's windows hold 64-bit indices only.
+            message = self._refused(client, {
+                "events": [dict(self.JOIN, time=1e300)]})
+            assert "too far" in message
+            state = client.request("GET", "/v1/stream/state")["state"]
+            assert state["events_total"] == 1
+
+    def test_huge_quantum_is_refused_naming_work(self, server):
+        events = _events(windows=4)
+        huge = {"type": "task_completed", "time": 15.0, "worker": 1,
+                "work": 1e200, "sent": 11.0, "arrived": 12.0,
+                "completed": 13.0, "result_started": 14.0}
+        with server.client() as client:
+            message = self._refused(client, {"events": [huge]})
+            assert "'work'" in message
+            out = client.request("POST", "/v1/stream/events",
+                                 {"events": events, "finish": True})
+            assert out["windows"][-1]["kind"] == "summary"
+
+
+def test_stop_flushes_and_closes_the_store_when_finish_raises(tmp_path):
+    config = ServiceConfig(port=0, result_cache_dir=str(tmp_path / "cache"),
+                           store_dir=str(tmp_path / "state"))
+    thread = ServiceThread(config, registry=MetricsRegistry()).start()
+    try:
+        with thread.client() as client:
+            client.request("POST", "/v1/stream/events",
+                           {"events": _events()[:2]})
+            client.request("POST", "/v1/x", {"profile": [1.0, 0.5]})
+        service = thread.service
+
+        def broken_finish():
+            raise RuntimeError("finish failed")
+
+        service._stream.finish = broken_finish
+        with pytest.raises(RuntimeError, match="finish failed"):
+            asyncio.run_coroutine_threadsafe(
+                service.stop(), thread._loop).result(timeout=30)
+        assert service.store is None
+    finally:
+        thread.stop()
+    with RunStore(tmp_path / "state" / "runs.sqlite3") as store:
+        assert {run["label"] for run in store.runs(kind="request")} \
+            == {"/v1/stream/events", "/v1/x"}

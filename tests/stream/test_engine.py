@@ -1,6 +1,7 @@
 """StreamProcessor tests: records, shadow mode, store lifecycle, replay."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -8,8 +9,9 @@ from repro.core.params import PAPER_TABLE1, ModelParams
 from repro.core.profile import Profile
 from repro.errors import StreamError
 from repro.obs import MetricsRegistry, RunStore
-from repro.stream import (StreamProcessor, parse_event_line, record_to_line,
-                          store_source, synthetic_trace)
+from repro.stream import (StreamEvent, StreamProcessor, event_to_dict,
+                          parse_event_line, record_to_line, store_source,
+                          synthetic_trace)
 
 PROFILE = Profile([1.0, 0.5, 0.25])
 
@@ -59,6 +61,32 @@ class TestRecords:
         assert [r["kind"] for r in records] == ["summary"]
         assert records[0]["windows"] == 0
 
+    def test_measures_that_overflow_read_null(self):
+        # B·ρ overflows for ρ = 1e308: X has no finite value, and the
+        # window says so instead of failing.
+        events = [StreamEvent(time=0.0, type="topology",
+                              workers=((0, 1e308),)),
+                  StreamEvent(time=11.0, type="worker_joined", worker=1,
+                              rho=1.0)]
+        window = _run(StreamProcessor(
+            10.0, calibrate=False, params=ModelParams(tau=0.1, pi=1.0)),
+            events)[0]
+        evaluation = window["evaluation"]
+        assert evaluation["x"] is None and evaluation["hecr"] is None
+        assert evaluation["allocation"] == {"0": 1.0}
+        json.loads(record_to_line(window), parse_constant=pytest.fail)
+
+    def test_split_that_overflows_reads_null(self):
+        # A finite X, but the FIFO split's ratios overflow to inf/inf.
+        events = [StreamEvent(time=0.0, type="topology",
+                              workers=((0, 1.0), (1, 1e308), (2, 0.5))),
+                  StreamEvent(time=11.0, type="worker_joined", worker=3,
+                              rho=1.0)]
+        window = _run(StreamProcessor(10.0, calibrate=False), events)[0]
+        assert window["evaluation"]["x"] is not None
+        assert window["evaluation"]["allocation"]["2"] is None
+        json.loads(record_to_line(window), parse_constant=pytest.fail)
+
     def test_summary_surfaces_drift_clauses(self):
         processor = StreamProcessor(10.0, forget=0.25)
         records = _run(processor, _trace(windows=8, drift_worker=1,
@@ -87,7 +115,8 @@ class TestShadowMode:
             if a["kind"] == "window":
                 assert a["evaluation"] == b["evaluation"]
 
-    @pytest.mark.parametrize("bad", [[], [0.0], [-1.0], [float("nan")]])
+    @pytest.mark.parametrize("bad", [[], [0.0], [-1.0], [float("nan")],
+                                     [None], ["1.0"], [True]])
     def test_bad_shadow_profile_rejected(self, bad):
         with pytest.raises(StreamError, match="what-if"):
             StreamProcessor(10.0, what_if=bad)
@@ -117,10 +146,12 @@ class TestStoreLifecycle:
             done = store.get_run(processor.run_id)
             assert done["status"] == "ok"
             assert done["kind"] == "stream"
-            assert done["extra"]["events_truncated"] is False
+            assert "events" not in done["extra"]
             spans = store.spans(processor.run_id)
             assert spans
             assert all(s["name"] == "stream:window" for s in spans)
+            stored = [e for s in spans for e in s["attrs"]["arrivals"]]
+            assert stored == [event_to_dict(e) for e in events]
 
     def test_replay_from_store_is_bit_identical(self, tmp_path):
         with RunStore(tmp_path / "runs.sqlite3") as store:
@@ -133,17 +164,110 @@ class TestStoreLifecycle:
                                     store_source(store, original.run_id))]
             assert second == first
 
-    def test_event_log_truncation_disables_replay(self, tmp_path,
-                                                  monkeypatch):
-        monkeypatch.setattr("repro.stream.engine.EVENT_LOG_LIMIT", 3)
+    def test_late_events_replay_in_arrival_order(self, tmp_path):
+        events = _trace(windows=5)
+        early = [e for e in events if e.time < 10.0 and e.type != "topology"]
+        # Late copies of window-0 events arrive while windows 2 and 4 are
+        # open; the run's rows must hand them back where they arrived.
+        third = next(i for i, e in enumerate(events) if e.time >= 20.0)
+        fifth = next(i for i, e in enumerate(events) if e.time >= 40.0)
+        events = (events[:third] + early[:2] + events[third:fifth]
+                  + early[2:3] + events[fifth:])
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            original = StreamProcessor(10.0, store=store)
+            first = [record_to_line(r) for r in _run(original, events)]
+            assert json.loads(first[-1])["late"] == 3
+            replayed = StreamProcessor(10.0)
+            second = [record_to_line(r)
+                      for r in _run(replayed,
+                                    store_source(store, original.run_id))]
+            assert second == first
+
+    def test_events_after_finish_are_stored_by_the_next_finish(
+            self, tmp_path):
+        events = _trace()
         with RunStore(tmp_path / "runs.sqlite3") as store:
             processor = StreamProcessor(10.0, store=store)
-            _run(processor, _trace())
-            row = store.get_run(processor.run_id)
-            assert row["extra"]["events_truncated"] is True
-            assert row["extra"]["events"] is None
-            with pytest.raises(StreamError, match="truncated"):
-                list(store_source(store, processor.run_id))
+            _run(processor, events)
+            processor.feed(events[1])  # late: its window is closed
+            processor.finish()
+            replayed = list(store_source(store, processor.run_id))
+            assert replayed == events + [events[1]]
+            names = [s["name"] for s in store.spans(processor.run_id)]
+            assert names[-1] == "stream:events"
+
+    def test_worker_ids_past_64_bits_store_and_replay(self, tmp_path):
+        # stdlib json (the CLI's reader) parses any integer; the store
+        # must keep such an id rather than fail the window row.
+        events = [parse_event_line(json.dumps(
+            {**event_to_dict(e), "worker": 10 ** 20 + e.worker}
+            if e.worker is not None else event_to_dict(e)))
+            for e in _trace(profile=Profile([1.0]))]
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            original = StreamProcessor(10.0, store=store)
+            first = [record_to_line(r) for r in _run(original, events)]
+            assert str(10 ** 20) in first[0]
+            replayed = StreamProcessor(10.0)
+            second = [record_to_line(r)
+                      for r in _run(replayed,
+                                    store_source(store, original.run_id))]
+        assert second == first
+
+    def test_run_row_written_before_window_rows_still_replays(
+            self, tmp_path):
+        events = _trace(windows=4, drift_worker=1, drift_factor=2.0,
+                        drift_window=2)
+        expected = [record_to_line(r)
+                    for r in _run(StreamProcessor(10.0), events)]
+        with RunStore(tmp_path / "runs.sqlite3") as store:
+            run_id = store.record_run(
+                kind="stream", label="old", status="ok",
+                extra={"window": 10.0, "events": [event_to_dict(e)
+                                                  for e in events],
+                       "events_truncated": False})
+            replayed = [record_to_line(r)
+                        for r in _run(StreamProcessor(10.0),
+                                      store_source(store, run_id))]
+        assert replayed == expected
+
+
+class TestBoundedSession:
+    def test_long_run_holds_no_history(self):
+        # 8 workers, one slowing 1.5x at window 500: by window 1,000 the
+        # session holds its cluster, its fit and the drift phases, and
+        # 3,000 more windows of the same drift must not add to that.
+        events = list(synthetic_trace(
+            profile=[1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3],
+            windows=4_001, drift_worker=2, drift_factor=1.5,
+            drift_window=500))
+        cut = next(i for i, e in enumerate(events) if e.time >= 10_000.0)
+        end = next(i for i, e in enumerate(events) if e.time >= 40_000.0)
+        processor = StreamProcessor(10.0)
+        for event in events[:cut + 1]:
+            processor.feed(event)
+        assert processor.windows.windows_closed == 1_000
+        phases = processor.calibrator.speed_timelines()[2].slowdowns
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for event in events[cut + 1:end + 1]:
+                processor.feed(event)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert processor.windows.windows_closed == 4_000
+        assert grown < 1 << 20, f"session grew {grown} bytes"
+        # One entry per drift phase: the steady drift only extended the
+        # last phase.
+        timelines = processor.calibrator.speed_timelines()
+        assert list(timelines) == [2]
+        grown_phases = timelines[2].slowdowns
+        assert grown_phases[:-1] == phases[:-1]
+        assert grown_phases[-1][0] == phases[-1][0]
+        assert grown_phases[-1][1] == 40_000.0
+        # No store: the processor keeps no event list at all.
+        assert not any(isinstance(value, list) and value
+                       for value in vars(processor).values())
 
 
 class TestStateView:

@@ -48,6 +48,12 @@ class TestEventFromDict:
         ({"type": "topology", "time": 0.0}, "workers"),
         ({"type": "topology", "time": 0.0, "workers": {"x": 1.0}},
          "workers"),
+        ({"type": ["task_completed"], "time": 0.0}, "type"),
+        # The calibrator sums w² and w × duration: neither may overflow.
+        ({"type": "task_completed", "time": 1.0, "worker": 0,
+          "work": 1e200}, "work"),
+        ({"type": "task_completed", "time": 1e300, "worker": 0,
+          "work": 1e10, "sent": -1e300}, "work"),
     ])
     def test_defects_name_their_field(self, obj, field):
         with pytest.raises(StreamEventError) as excinfo:
@@ -138,10 +144,12 @@ class TestStoreSource:
         store.close()
 
     def test_truncated_log_refuses_replay(self, tmp_path):
+        # A run row from before events rode with the window rows, whose
+        # log was dropped at the old 50,000-event cap.
         from repro.obs import RunStore
         store = RunStore(tmp_path / "runs.sqlite3")
         store.record_run(kind="stream", label="big", status="ok",
                          extra={"events": None, "events_truncated": True})
-        with pytest.raises(StreamError, match="truncated"):
+        with pytest.raises(StreamError, match="no replayable events"):
             list(store_source(store))
         store.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import StreamError
+from repro.errors import StreamError, StreamEventError
 from repro.stream import ClusterState, StreamEvent, WindowManager
 
 
@@ -87,6 +87,19 @@ class TestWindowLifecycle:
         assert manager.index_of(4.9) == -1
         assert manager.index_of(5.0) == 0
         assert manager.bounds(0) == (5.0, 15.0)
+
+    @pytest.mark.parametrize("size, time", [
+        (1e-320, 1e300),     # the index overflows a double
+        (1.0, 1e19),         # ... or a 64-bit integer
+        (1e308, 1.7e308),    # the window's end overflows
+    ])
+    def test_time_without_a_finite_window_is_refused(self, size, time):
+        manager = WindowManager(size)
+        with pytest.raises(StreamEventError, match="too far") as excinfo:
+            manager.add(_tick(time))
+        assert excinfo.value.field == "time"
+        assert manager.events_total == 0
+        assert manager.current_index is None
 
     @pytest.mark.parametrize("size", [0.0, -1.0, float("nan"),
                                       float("inf")])
